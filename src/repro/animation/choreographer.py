@@ -19,7 +19,6 @@ from .animator import (
     FrameCallback,
 )
 from .interpolators import Interpolator
-from .kernels import FrameTable, frame_table
 
 
 class Choreographer:
@@ -46,25 +45,6 @@ class Choreographer:
     def animators_created(self) -> int:
         """Total animators handed out (a cheap load/overhead metric)."""
         return self._animators_created
-
-    def prewarm(
-        self,
-        interpolator: Interpolator,
-        duration_ms: float,
-        view_height_px: int = 0,
-    ) -> "Optional[FrameTable]":
-        """Build (or fetch) the frame table for one animation up front.
-
-        Boot-time callers use this to move table construction out of the
-        first animation frame; the table lands in the process-wide cache,
-        so every later animator and notification entry with the same
-        (curve, duration, refresh, height) gets a cache hit. Returns the
-        table, or ``None`` when kernels are disabled or the interpolator
-        is not cacheable.
-        """
-        return frame_table(
-            interpolator, duration_ms, self._refresh_interval, view_height_px
-        )
 
     def create_animator(
         self,

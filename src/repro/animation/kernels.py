@@ -1,26 +1,25 @@
-"""Precomputed interpolator frame tables — the animation hot-path kernel.
+"""Precomputed interpolator frame tables.
 
 Android quantizes animations to frames: a view's completeness only changes
-when a vsync callback fires, every ``refresh_interval_ms``. Every consumer
-of an eased animation in this reproduction therefore evaluates the
-interpolator at the *same* normalized times over and over — once per frame
-per animator per trial, with the FastOutSlowIn cubic Bezier costing a
-Newton/bisection solve per call. A :class:`FrameTable` evaluates each
-frame exactly once and shares the result process-wide.
+when a vsync callback fires, every ``refresh_interval_ms``. The analytic
+notification timeline (:class:`~repro.systemui.notification.NotificationEntry`)
+and the first-visible-frame search therefore evaluate the interpolator at
+the *same* normalized times over and over, with the FastOutSlowIn cubic
+Bezier costing a Newton/bisection solve per call. A :class:`FrameTable`
+evaluates each frame exactly once.
 
-Byte-identity is the design constraint, not an aspiration: every row is
-computed by the same float expressions the scalar code paths use
-(``min(k * refresh, duration) / duration`` fed to ``Interpolator.value``),
-so a table lookup returns the *same bits* the scalar path would. The
-differential harness (``tests/test_kernel_equivalence.py``) and the
-hypothesis suite (``tests/animation/test_kernel_properties.py``) pin this.
+Every row is computed by the float expressions a direct evaluation would
+use (``min(k * refresh, duration) / duration`` fed to
+``Interpolator.value``), so a table read returns the same bits
+``Interpolator.value`` would (pinned by
+``tests/animation/test_kernel_properties.py``).
 
-Tables are memoized in :data:`repro.sim.framecache.FRAME_TABLE_CACHE`
-under a content key — interpolator curve parameters, duration, refresh
-interval, view height — so one table serves every animator on a device
-across all trials; stack ``reset()`` does not touch them. Interpolators
-without a stable curve key (unknown subclasses) simply get no table and
-stay on the scalar path.
+Tables are memoized in :data:`FRAME_TABLE_CACHE` under a content key —
+interpolator curve parameters, duration, refresh interval, view height —
+so one table serves every entry on a device across all trials; the cache
+lives at module level, so stack ``reset()`` never touches it.
+Interpolators without a stable curve key (unknown subclasses) get a fresh,
+unshared table instead.
 """
 
 from __future__ import annotations
@@ -28,8 +27,12 @@ from __future__ import annotations
 import math
 from typing import Dict, Optional, Tuple
 
-from ..sim.framecache import FRAME_TABLE_CACHE, kernels_enabled
 from .interpolators import Interpolator
+
+#: A table's content key: (interpolator curve key, duration, refresh
+#: interval, view height). Two animations with equal keys render exactly
+#: the same per-frame values, so they share one table.
+TableKey = Tuple[Tuple, float, float, int]
 
 
 def rendered_pixels(completeness: float, view_height_px: int) -> int:
@@ -58,10 +61,10 @@ class FrameTable:
 
     * ``times_ms[k]``   — the nominal frame time ``k * refresh`` (the
       final row's time may exceed ``duration``; the frame that lands at or
-      past the end renders completeness 1.0, exactly like the scalar
-      animator's clamp);
+      past the end renders completeness 1.0, exactly like the animator's
+      clamp);
     * ``completeness[k]`` — ``interpolator.value(min(k*refresh, duration)
-      / duration)``, bit-equal to what the scalar paths compute;
+      / duration)``;
     * ``pixels[k]``     — ``rendered_pixels(completeness[k], height)``.
 
     The last row is the first frame with ``k * refresh >= duration``; any
@@ -72,7 +75,7 @@ class FrameTable:
     __slots__ = (
         "duration_ms", "refresh_interval_ms", "view_height_px",
         "times_ms", "completeness", "pixels",
-        "first_visible_index", "_by_x",
+        "first_visible_index",
     )
 
     def __init__(
@@ -99,7 +102,6 @@ class FrameTable:
         times = []
         values = []
         pixels = []
-        by_x: Dict[float, float] = {}
         k = 0
         while True:
             t = k * self.refresh_interval_ms
@@ -107,26 +109,18 @@ class FrameTable:
                 x = min(t, self.duration_ms) / self.duration_ms
             else:
                 # Zero-duration animation: every frame (including the one
-                # at t=0) renders the fully-complete view. The scalar
-                # paths never divide here either — they treat the first
-                # frame as the end of the animation.
+                # at t=0) renders the fully-complete view.
                 x = 1.0
             value = interpolator.value(x)
             times.append(t)
             values.append(value)
             pixels.append(rendered_pixels(value, self.view_height_px))
-            # `value` was produced from the exact float the frame-driven
-            # animator feeds to the interpolator whenever its elapsed time
-            # lands on the nominal grid, so the x-keyed map returns the
-            # same bits `interpolator.value` would.
-            by_x.setdefault(x, value)
             if t >= self.duration_ms:
                 break
             k += 1
         self.times_ms: Tuple[float, ...] = tuple(times)
         self.completeness: Tuple[float, ...] = tuple(values)
         self.pixels: Tuple[int, ...] = tuple(pixels)
-        self._by_x = by_x
 
         first_visible: Optional[int] = None
         for index in range(1, len(self.pixels)):
@@ -162,16 +156,6 @@ class FrameTable:
         last = len(self.pixels) - 1
         return self.pixels[index if index < last else last]
 
-    def completeness_for_x(self, x: float) -> Optional[float]:
-        """Table hit for an exact normalized time, or ``None``.
-
-        The frame-driven animator's elapsed times are accumulated sums;
-        they usually — but not always — equal the nominal grid bit for
-        bit. A hit returns precomputed ``value(x)`` for that exact float;
-        a miss means the caller must evaluate the interpolator itself.
-        """
-        return self._by_x.get(x)
-
     def first_visible_time_ms(self) -> Optional[float]:
         """Nominal time of the first frame rendering >= 1 px, or ``None``."""
         if self.first_visible_index is None:
@@ -187,31 +171,37 @@ class FrameTable:
         )
 
 
+#: The process-wide table cache. Unbounded by design: its key space is the
+#: distinct (curve, duration, refresh, height) combinations of a run — a
+#: few dozen entries even for fleet campaigns.
+FRAME_TABLE_CACHE: Dict[TableKey, FrameTable] = {}
+
+
 def frame_table(
     interpolator: Interpolator,
     duration_ms: float,
     refresh_interval_ms: float,
     view_height_px: int,
-) -> Optional[FrameTable]:
-    """The memoized frame table for one (curve, duration, refresh, height).
+) -> FrameTable:
+    """The frame table for one (curve, duration, refresh, height).
 
-    Returns ``None`` when kernels are disabled (``REPRO_NO_KERNELS=1``) or
-    the interpolator has no stable curve key (an unknown subclass whose
-    values the cache could not vouch for) — callers then stay on their
-    scalar paths.
+    Memoized in :data:`FRAME_TABLE_CACHE` when the interpolator has a
+    stable curve key; an unknown subclass (whose values the cache could
+    not vouch for) gets a fresh table of its own.
     """
-    if not kernels_enabled():
-        return None
     curve_key = interpolator.cache_key()
     if curve_key is None:
-        return None
+        return FrameTable(interpolator, duration_ms, refresh_interval_ms,
+                          view_height_px)
     key = (curve_key, float(duration_ms), float(refresh_interval_ms),
            int(view_height_px))
-    return FRAME_TABLE_CACHE.get_or_build(
-        key,
-        lambda: FrameTable(interpolator, duration_ms, refresh_interval_ms,
-                           view_height_px),
-    )
+    table = FRAME_TABLE_CACHE.get(key)
+    if table is None:
+        table = FrameTable(interpolator, duration_ms, refresh_interval_ms,
+                           view_height_px)
+        FRAME_TABLE_CACHE[key] = table
+    return table
 
 
-__all__ = ["FrameTable", "frame_table", "rendered_pixels"]
+__all__ = ["FRAME_TABLE_CACHE", "FrameTable", "frame_table",
+           "rendered_pixels"]

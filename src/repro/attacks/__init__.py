@@ -1,28 +1,23 @@
 """The paper's contribution: animation-exploiting UI attacks.
 
-* :class:`DrawAndDestroyOverlayAttack` — suppresses the overlay-presence
+* :class:`~.overlay_attack.DrawAndDestroyOverlayAttack` — suppresses the overlay-presence
   alert by exploiting the slow-in notification animation (Section III);
-* :class:`DrawAndDestroyToastAttack` — keeps a customized toast on screen
+* :class:`~.toast_attack.DrawAndDestroyToastAttack` — keeps a customized toast on screen
   indefinitely by exploiting the fade-out animation (Section IV);
-* :class:`PasswordStealingAttack` — composes both into a fake-keyboard
+* :class:`~.password_stealing.PasswordStealingAttack` — composes both into a fake-keyboard
   password theft (Section V);
 * :class:`NotificationFloodingAttack` — saturates the notification
   channel instead of racing its animation (Knock-Knock style);
 * the analytical timing model (Eqs. 1–3) and the empirical Λ1-boundary
   finder behind Table II.
 
-The attack *classes* re-exported here are deprecated aliases: construct
-them via their concrete modules (``repro.attacks.overlay_attack`` etc.)
-or, better, through the actor registry
-(``repro.actors.get_attacker("draw-and-destroy")``), which owns
-permissioning and lifecycle. The aliases warn once per process and then
-behave identically — they are true subclasses of the real classes.
+The attack classes live in their concrete modules
+(``repro.attacks.overlay_attack`` etc.); the actor registry
+(``repro.actors.get_attacker("draw-and-destroy")``) builds them with
+permissioning and lifecycle handled.
 """
 
-from .._deprecation import deprecated_class
 from .clickjacking import ClickjackRecord
-from .clickjacking import ClickjackingAttack as _ClickjackingAttack
-from .clickjacking import ContentHidingAttack as _ContentHidingAttack
 from .device_probe import DeviceProber, MIN_USEFUL_WINDOW_MS, ProbeResult
 from .fake_keyboard import FakeKeyboard, FakeKeyboardFrame
 from .flooding import (
@@ -38,7 +33,6 @@ from .overlay_attack import (
     OverlayAttackConfig,
     OverlayAttackStats,
 )
-from .overlay_attack import DrawAndDestroyOverlayAttack as _DrawAndDestroyOverlayAttack
 from .password_stealing import (
     PASSWORD_MALWARE_PACKAGE,
     PasswordAttackResult,
@@ -46,7 +40,6 @@ from .password_stealing import (
     PasswordStealingConfig,
     classify_password_attempt,
 )
-from .password_stealing import PasswordStealingAttack as _PasswordStealingAttack
 from .timing_channels import SideChannelConfig, UiStateSideChannel
 from .timing import (
     BoundarySearchResult,
@@ -62,49 +55,14 @@ from .toast_attack import (
     TOAST_MALWARE_PACKAGE,
     ToastAttackConfig,
 )
-from .toast_attack import DrawAndDestroyToastAttack as _DrawAndDestroyToastAttack
-
-DrawAndDestroyOverlayAttack = deprecated_class(
-    "repro.attacks.DrawAndDestroyOverlayAttack",
-    _DrawAndDestroyOverlayAttack,
-    "repro.attacks.overlay_attack.DrawAndDestroyOverlayAttack "
-    "(or repro.actors.get_attacker('draw-and-destroy'))",
-)
-DrawAndDestroyToastAttack = deprecated_class(
-    "repro.attacks.DrawAndDestroyToastAttack",
-    _DrawAndDestroyToastAttack,
-    "repro.attacks.toast_attack.DrawAndDestroyToastAttack "
-    "(or repro.actors.get_attacker('draw-and-destroy-toast'))",
-)
-PasswordStealingAttack = deprecated_class(
-    "repro.attacks.PasswordStealingAttack",
-    _PasswordStealingAttack,
-    "repro.attacks.password_stealing.PasswordStealingAttack "
-    "(or repro.actors.get_attacker('password-stealing'))",
-)
-ClickjackingAttack = deprecated_class(
-    "repro.attacks.ClickjackingAttack",
-    _ClickjackingAttack,
-    "repro.attacks.clickjacking.ClickjackingAttack "
-    "(or repro.actors.get_attacker('clickjacking'))",
-)
-ContentHidingAttack = deprecated_class(
-    "repro.attacks.ContentHidingAttack",
-    _ContentHidingAttack,
-    "repro.attacks.clickjacking.ContentHidingAttack",
-)
 
 __all__ = [
     "BoundarySearchResult",
     "CapturedTouch",
     "ClickjackRecord",
-    "ClickjackingAttack",
-    "ContentHidingAttack",
     "DeviceProber",
     "MIN_USEFUL_WINDOW_MS",
     "ProbeResult",
-    "DrawAndDestroyOverlayAttack",
-    "DrawAndDestroyToastAttack",
     "FLOOD_PACKAGE",
     "FakeKeyboard",
     "FakeKeyboardFrame",
@@ -120,7 +78,6 @@ __all__ = [
     "PASSWORD_MALWARE_PACKAGE",
     "PasswordAttackResult",
     "PasswordErrorType",
-    "PasswordStealingAttack",
     "PasswordStealingConfig",
     "SideChannelConfig",
     "TOAST_MALWARE_PACKAGE",

@@ -34,7 +34,7 @@ import numbers
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
 
-from ..obs.metrics import DEFAULT_BUCKETS, Histogram
+from ..obs.metrics import DEFAULT_BUCKETS, Histogram, MetricSample
 from ..serialization import SerializableMixin
 
 
@@ -377,9 +377,10 @@ class ShardOutcome(SerializableMixin):
     """Everything one completed shard reports back to the driver.
 
     Carries the shard's *aggregate*, never its per-trial outcomes — this
-    is the O(shards) memory contract. ``seconds`` and ``pid`` are
-    excluded from equality (wall clock and worker placement vary run to
-    run; the statistics must not).
+    is the O(shards) memory contract. ``samples`` is the shard's metric
+    snapshot when the driver collects metrics (``None`` otherwise).
+    ``seconds``, ``pid`` and ``samples`` are excluded from equality (wall
+    clock and worker placement vary run to run; the statistics must not).
     """
 
     index: int
@@ -387,6 +388,8 @@ class ShardOutcome(SerializableMixin):
     aggregate_state: Dict[str, Any]
     seconds: float = field(default=0.0, compare=False)
     pid: int = field(default=0, compare=False)
+    samples: Optional[Tuple[MetricSample, ...]] = field(default=None,
+                                                        compare=False)
 
     def aggregate(self) -> CampaignAggregate:
         return CampaignAggregate.from_dict(self.aggregate_state)

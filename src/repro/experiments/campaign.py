@@ -14,7 +14,8 @@ one resumable campaign. This module is that layer:
 * :func:`_run_shard` is the worker: it runs its cell range with stack
   reuse and folds every trial into a
   :class:`~repro.experiments.aggregate.CampaignAggregate`, returning
-  only that digest. Per-trial outcomes never cross the process boundary
+  only that digest (plus, when the driver collects metrics, the shard's
+  metric snapshot). Per-trial outcomes never cross the process boundary
   or accumulate anywhere — campaign memory is O(shards), not O(trials).
 * shards fan out through the generic supervised runner
   (:func:`~repro.experiments.resilience.run_supervised`): per-shard
@@ -187,6 +188,7 @@ def _run_shard(
     shard: ShardSpec,
     extractor: Optional[MetricExtractor],
     group_by: Optional[GroupBy],
+    collect_metrics: bool = False,
     attempt: int = 1,
 ):
     """Worker entry point: run one shard's cell range, return its digest.
@@ -194,10 +196,15 @@ def _run_shard(
     Module-level so it pickles for the pool path; mirrors the experiment
     worker's discipline (chaos gate at entry, id-allocator reset, scale
     fault regime + fresh stack-reuse executor installed ambiently).
+    With ``collect_metrics`` the shard records into a fresh
+    :class:`~repro.obs.metrics.MetricsRegistry` and returns its samples,
+    so serial and pool runs report the same series to the driver.
     ``attempt`` is consulted only by the chaos harness — trial seeds come
     from the matrix cells, so a crash-then-retry shard is bit-identical
     to one that never crashed.
     """
+    from ..obs.context import use_metrics
+    from ..obs.metrics import MetricsRegistry
     from ..sim.faults import use_default_profile
 
     if chaos_fire(shard.name, attempt) == "poison":
@@ -206,9 +213,10 @@ def _run_shard(
     extract = extractor if extractor is not None else default_trial_metrics
     reset_id_allocators()
     aggregate = CampaignAggregate()
+    registry = MetricsRegistry() if collect_metrics else None
     trials = 0
     start = time.perf_counter()
-    with use_default_profile(matrix.scale.faults), \
+    with use_metrics(registry), use_default_profile(matrix.scale.faults), \
             use_executor(TrialExecutor()) as executor:
         for spec in islice(matrix.cells(), shard.start, shard.stop):
             value = executor.run(spec)
@@ -222,6 +230,7 @@ def _run_shard(
         aggregate_state=aggregate.to_dict(),
         seconds=time.perf_counter() - start,
         pid=os.getpid(),
+        samples=registry.samples() if registry is not None else None,
     )
 
 
@@ -468,6 +477,8 @@ def run_campaign(
         if manifest is not None:
             manifest.store(task.name, outcome)
         outcomes[outcome.index] = outcome
+        if registry is not None:
+            registry.ingest(outcome.samples)
         count(SHARDS_COMPLETED_METRIC, 1)
         note(outcome, cached=False)
 
@@ -480,7 +491,8 @@ def run_campaign(
 
     run_supervised(
         [SupervisedTask(name=shard.name, fn=_run_shard,
-                        args=(matrix, shard, extractor, group_by))
+                        args=(matrix, shard, extractor, group_by,
+                              registry is not None))
          for shard in pending],
         supervisor,
         jobs=jobs,

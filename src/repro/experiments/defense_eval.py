@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..attacks.overlay_attack import DrawAndDestroyOverlayAttack, OverlayAttackConfig
 from ..defenses.benign import BenignOverlayApp
 from ..defenses.enhanced_notification import (
@@ -308,13 +307,3 @@ def _run_toast_defense(
             without_defense=_run_toast_continuity(scale, inter_toast_gap_ms=0.0),
             with_defense=_run_toast_continuity(scale, inter_toast_gap_ms=gap_ms),
         )
-
-
-run_ipc_defense = deprecated_entry_point(
-    "run_ipc_defense", _run_ipc_defense, "repro.api.run_experiment('defense_ipc', ...)")
-
-run_notification_defense = deprecated_entry_point(
-    "run_notification_defense", _run_notification_defense, "repro.api.run_experiment('defense_notification', ...)")
-
-run_toast_defense = deprecated_entry_point(
-    "run_toast_defense", _run_toast_defense, "repro.api.run_experiment('defense_toast', ...)")

@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..defenses.benign import BenignOverlayApp
 from ..defenses.ipc_detector import DetectionRule, IpcDetector
 from ..devices.profiles import DeviceProfile
@@ -186,7 +185,3 @@ def _tune_grid(
                     ),
                 )
             )
-
-
-run_defense_tuning = deprecated_entry_point(
-    "run_defense_tuning", _run_defense_tuning, "repro.api.run_experiment('defense_tuning', ...)")

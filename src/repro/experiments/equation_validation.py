@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..analysis.uncovered_time import measure_overlay_coverage
 from ..attacks.overlay_attack import DrawAndDestroyOverlayAttack, OverlayAttackConfig
 from ..attacks.timing import expected_mistouch_for_profile
@@ -110,7 +109,3 @@ def _run_equation_validation(
     with scoped_executor() as executor:
         rows: List[EquationValidationRow] = executor.map(specs)
     return EquationValidationResult(device_key=profile.key, rows=tuple(rows))
-
-
-run_equation_validation = deprecated_entry_point(
-    "run_equation_validation", _run_equation_validation, "repro.api.run_experiment('equation_validation', ...)")

@@ -25,7 +25,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..analysis.uncovered_time import measure_overlay_coverage
 from ..attacks.overlay_attack import DrawAndDestroyOverlayAttack, OverlayAttackConfig
 from ..defenses.benign import BenignOverlayApp
@@ -310,7 +309,3 @@ def _run_noise_sensitivity(
         points=tuple(points),
         baseline_capture_rate=baseline_rate,
     )
-
-
-run_noise_sensitivity = deprecated_entry_point(
-    "run_noise_sensitivity", _run_noise_sensitivity, "repro.api.run_experiment('noise_sensitivity', ...)")

@@ -45,7 +45,6 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
-from .._deprecation import _warn_once
 from ..serialization import SerializableMixin
 from .animation_curves import _run_fig2, _run_fig4
 from .capture_rate import _run_fig7, _run_fig8
@@ -615,30 +614,3 @@ def _assemble_metrics(
     return per_experiment + (
         ExperimentMetrics(name="runner", samples=runner.samples()),
     )
-
-
-# ---------------------------------------------------------------------------
-# Warn-once shims for the pre-PR-9 private names
-# ---------------------------------------------------------------------------
-
-def _deprecated_attrs():
-    # Lazily built so the shims always hand back the live objects.
-    return {
-        "_SPEC_BY_NAME": ("experiment_spec(name)", _SPECS),
-        "_run_one": ("run_one_isolated(name, scale)", _execute_one),
-        "_reset_global_id_allocators": ("reset_id_allocators()",
-                                        reset_id_allocators),
-    }
-
-
-def __getattr__(name: str):
-    entry = _deprecated_attrs().get(name)
-    if entry is None:
-        raise AttributeError(
-            f"module {__name__!r} has no attribute {name!r}")
-    instead, value = entry
-    _warn_once(
-        f"{__name__}.{name}",
-        f"{__name__}.{name} is private and deprecated; use "
-        f"repro.experiments.{instead} instead")
-    return value

@@ -19,7 +19,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..apps.catalog import bank_of_america
 from ..apps.keyboard import KeyboardSpec, default_keyboard_rect
 from ..attacks.password_stealing import PasswordErrorType
@@ -200,10 +199,3 @@ def _run_stealthiness(
         reported_lag=reported_lag,
         noticed_anything_without_malware=control_noticed,
     )
-
-
-run_table3 = deprecated_entry_point(
-    "run_table3", _run_table3, "repro.api.run_experiment('table3', ...)")
-
-run_stealthiness = deprecated_entry_point(
-    "run_stealthiness", _run_stealthiness, "repro.api.run_experiment('stealthiness', ...)")

@@ -1,10 +1,10 @@
 """Supplementary analyses beyond the paper's tables.
 
-* :func:`run_table3_by_version` — Table III broken down by Android major
+* ``table3_by_version`` — Table III broken down by Android major
   version: the version effect (Android 10/11's larger mistouch gap) shows
   up directly in password-stealing success, a split the paper does not
   report but its model predicts;
-* :func:`run_fig7_with_cis` — Fig. 7 means with bootstrap confidence
+* ``fig7_cis`` — Fig. 7 means with bootstrap confidence
   intervals over participants, quantifying how tight the 30-person study
   actually is.
 """
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..analysis.statistics import ConfidenceInterval, bootstrap_mean_ci, wilson_interval
 from ..apps.keyboard import KeyboardSpec, default_keyboard_rect
 from ..devices.registry import devices_by_version
@@ -152,10 +151,3 @@ def _run_fig7_with_cis(
             )
         )
     return Fig7WithCisResult(rows=tuple(rows))
-
-
-run_table3_by_version = deprecated_entry_point(
-    "run_table3_by_version", _run_table3_by_version, "repro.api.run_experiment('table3_by_version', ...)")
-
-run_fig7_with_cis = deprecated_entry_point(
-    "run_fig7_with_cis", _run_fig7_with_cis, "repro.api.run_experiment('fig7_cis', ...)")

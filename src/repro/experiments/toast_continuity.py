@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 from ..serialization import SerializableMixin
-from .._deprecation import deprecated_entry_point
 from ..attacks.toast_attack import DrawAndDestroyToastAttack, ToastAttackConfig
 from ..devices.profiles import DeviceProfile
 from ..obs.context import current_metrics
@@ -154,7 +153,3 @@ def compare_toast_durations(
         short = _run_toast_continuity(scale, toast_duration_ms=TOAST_LENGTH_SHORT_MS)
         long = _run_toast_continuity(scale, toast_duration_ms=TOAST_LENGTH_LONG_MS)
     return short, long
-
-
-run_toast_continuity = deprecated_entry_point(
-    "run_toast_continuity", _run_toast_continuity, "repro.api.run_experiment('toast_continuity', ...)")

@@ -1,15 +1,4 @@
-"""Scheduled events and their cancellation handles.
-
-Event objects are pooled by the scheduler when kernels are enabled (see
-:mod:`repro.sim.framecache`): a dispatched or discarded ``Event`` is
-recycled for a future ``schedule_at`` instead of being garbage. Recycling
-is made safe by a **generation counter** — every release bumps
-``Event.generation``, and an :class:`EventHandle` only touches its event
-while the generation it captured at creation still matches. A stale
-handle (to an event that was dispatched, reset away, or recycled) is
-inert: it keeps answering from its own snapshot and never corrupts the
-recycled event. Handles behave identically whether pooling is on or off.
-"""
+"""Scheduled events and their cancellation handles."""
 
 from __future__ import annotations
 
@@ -30,8 +19,7 @@ class Event:
     direct comparisons in tests and debugging.)
     """
 
-    __slots__ = ("time", "seq", "callback", "name", "cancelled", "on_cancel",
-                 "generation")
+    __slots__ = ("time", "seq", "callback", "name", "cancelled", "on_cancel")
 
     def __init__(self, time: float, seq: int, callback: Callback, name: str) -> None:
         self.time = time
@@ -43,10 +31,6 @@ class Event:
         #: queued; the scheduler uses it to keep its pending-event counter
         #: exact without scanning the heap.
         self.on_cancel: Optional[Callback] = None
-        #: Incarnation counter for pooling: bumped every time the scheduler
-        #: releases this object for reuse, which instantly invalidates
-        #: every handle created for the previous incarnation.
-        self.generation = 0
 
     def __lt__(self, other: "Event") -> bool:
         return (self.time, self.seq) < (other.time, other.seq)
@@ -62,39 +46,30 @@ class EventHandle:
     Handles support cancellation (used pervasively: the attacks cancel
     pending animation frames, defenses cancel delayed notifications) and
     expose scheduling metadata for tests and trace analysis.
-
-    The handle snapshots the event's time and name at creation and tracks
-    its own cancelled flag, so it remains valid — and answers identically
-    — after the underlying ``Event`` object has been dispatched and
-    recycled into an unrelated event by the scheduler's pool.
     """
 
-    __slots__ = ("_event", "_generation", "_time", "_name", "_cancelled")
+    __slots__ = ("_event",)
 
     def __init__(self, event: Event) -> None:
         self._event = event
-        self._generation = event.generation
-        self._time = event.time
-        self._name = event.name
-        self._cancelled = event.cancelled
 
     @property
     def time(self) -> float:
         """Simulated time at which the event fires."""
-        return self._time
+        return self._event.time
 
     @property
     def name(self) -> str:
-        return self._name
+        return self._event.name
 
     @property
     def cancelled(self) -> bool:
-        return self._cancelled
+        return self._event.cancelled
 
     def cancel(self) -> None:
         """Cancel the event; cancelling twice is an error."""
-        if self._cancelled:
-            raise EventCancelledError(f"event {self._name!r} already cancelled")
+        if self._event.cancelled:
+            raise EventCancelledError(f"event {self._event.name!r} already cancelled")
         self._mark_cancelled()
 
     def cancel_if_pending(self) -> bool:
@@ -103,24 +78,16 @@ class EventHandle:
         Returns:
             ``True`` if this call performed the cancellation.
         """
-        if self._cancelled:
+        if self._event.cancelled:
             return False
         self._mark_cancelled()
         return True
 
     def _mark_cancelled(self) -> None:
-        self._cancelled = True
-        event = self._event
-        if event.generation != self._generation:
-            # The event object has moved on (dispatched and pooled, or the
-            # scheduler was reset). Cancelling a no-longer-queued event was
-            # always a silent no-op; the snapshot flag above preserves the
-            # handle-side bookkeeping.
-            return
-        event.cancelled = True
-        notify = event.on_cancel
+        self._event.cancelled = True
+        notify = self._event.on_cancel
         if notify is not None:
-            event.on_cancel = None
+            self._event.on_cancel = None
             notify()
 
 

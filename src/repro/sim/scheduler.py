@@ -7,8 +7,7 @@ from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
 from .clock import Clock
 from .errors import SchedulingError
-from .event import Callback, Event, EventHandle, noop
-from .framecache import kernels_enabled
+from .event import Callback, Event, EventHandle
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
@@ -21,11 +20,6 @@ TimePerturbation = Callable[[float, float, str], float]
 #: replaces a Python-level ``Event.__lt__`` call per sift step, and orders
 #: identically — ``seq`` is unique, so the event itself is never compared.
 HeapEntry = Tuple[float, int, Event]
-
-#: Upper bound on the event free list. The pool only needs to cover the
-#: peak number of simultaneously-queued events, which is tiny; the cap
-#: keeps a pathological burst from pinning memory forever.
-_POOL_CAP = 256
 
 
 class EventScheduler:
@@ -41,14 +35,6 @@ class EventScheduler:
     move events *later* and the heap still pops by ``(time, seq)``, every
     kernel invariant survives: the clock is monotone, no event is lost,
     and dispatch order is non-decreasing in time.
-
-    When kernels are enabled (no ``REPRO_NO_KERNELS``), dispatched and
-    discarded :class:`Event` objects are recycled through a free list
-    instead of being re-allocated per schedule. Recycling is invisible to
-    callers: handles snapshot their metadata and go inert the moment their
-    event's generation is bumped (see :mod:`repro.sim.event`), and the
-    regression suite pins identical dispatch traces and counter accounting
-    with pooling on and off.
     """
 
     def __init__(self, clock: Clock,
@@ -60,9 +46,6 @@ class EventScheduler:
         self._pending = 0
         self._cancelled = 0
         self._perturb: Optional[TimePerturbation] = None
-        # Event pooling — snapshot of the kernel switch at construction.
-        self._pooling = kernels_enabled()
-        self._pool: List[Event] = []
         # Instruments are resolved once here; every hot-path guard below is
         # a single `is not None`. Metrics only *observe* (no clock, RNG or
         # heap interaction), so enabling them cannot perturb a run.
@@ -118,11 +101,6 @@ class EventScheduler:
         """Total events ever scheduled."""
         return self._seq
 
-    @property
-    def pooled_event_count(self) -> int:
-        """Events currently parked on the free list (0 with pooling off)."""
-        return len(self._pool)
-
     def install_perturbation(self, perturb: Optional[TimePerturbation]) -> None:
         """Install (or clear) the fault layer's schedule-time hook."""
         self._perturb = perturb
@@ -137,13 +115,10 @@ class EventScheduler:
         the same state a fresh ``EventScheduler(clock)`` would.
 
         Metric instruments deliberately survive: a registry aggregates over
-        every trial of an experiment, across stack resets. So does the
-        event free list — it is an allocation cache with no observable
-        state, and stack reuse is exactly where it pays off.
+        every trial of an experiment, across stack resets.
         """
         for _, _, event in self._heap:
             event.on_cancel = None
-            self._release(event)
         self._heap.clear()
         self._seq = 0
         self._dispatched = 0
@@ -162,16 +137,7 @@ class EventScheduler:
             # schedule into the past or reorder an event before its
             # requested time.
             time_ms = max(time_ms, self._perturb(float(time_ms), self._clock.now, name))
-        pool = self._pool
-        if pool:
-            event = pool.pop()
-            event.time = float(time_ms)
-            event.seq = self._seq
-            event.callback = callback
-            event.name = name
-            event.cancelled = False
-        else:
-            event = Event(float(time_ms), self._seq, callback, name)
+        event = Event(float(time_ms), self._seq, callback, name)
         event.on_cancel = self._note_cancelled
         self._seq += 1
         heapq.heappush(self._heap, (event.time, event.seq, event))
@@ -211,19 +177,13 @@ class EventScheduler:
         # The event has left the queue: detach the cancel hook so a late
         # handle.cancel() cannot drive the pending counter negative.
         event.on_cancel = None
-        time = event.time
-        callback = event.callback
         if self._m_depth is not None:
             self._m_dispatched.inc()
             self._m_depth.observe(self._pending)
         self._pending -= 1
-        self._clock.advance_to(time)
+        self._clock.advance_to(event.time)
         self._dispatched += 1
-        # Recycle before the callback runs: the callback's own
-        # schedule_after may then reuse this very object. Local copies of
-        # time/callback above keep the dispatch itself untouched.
-        self._release(event)
-        callback()
+        event.callback()
         return True
 
     def run_until(self, time_ms: float) -> int:
@@ -273,24 +233,7 @@ class EventScheduler:
 
     def _drop_cancelled_head(self) -> None:
         # Cancelled events already left the pending count via the hook;
-        # this only reclaims their heap slots (and recycles the objects).
+        # this only reclaims their heap slots.
         heap = self._heap
         while heap and heap[0][2].cancelled:
-            self._release(heapq.heappop(heap)[2])
-
-    def _release(self, event: Event) -> None:
-        """Retire an event that has left the queue.
-
-        With pooling on, the generation bump makes every outstanding
-        handle to this incarnation inert, after which the object is safe
-        to hand to a future ``schedule_at``. With pooling off this is a
-        no-op — the object is garbage, exactly the legacy behaviour.
-        """
-        if not self._pooling:
-            return
-        event.generation += 1
-        event.callback = noop  # drop the closure reference, keep slot typed
-        event.on_cancel = None
-        pool = self._pool
-        if len(pool) < _POOL_CAP:
-            pool.append(event)
+            heapq.heappop(heap)

@@ -16,7 +16,7 @@ import math
 from dataclasses import dataclass, field
 from typing import Optional
 
-from ..animation.animator import ANIMATION_DURATION_STANDARD, rendered_pixels
+from ..animation.animator import ANIMATION_DURATION_STANDARD
 from ..animation.interpolators import FastOutSlowInInterpolator, Interpolator
 from ..animation.kernels import frame_table
 from .outcomes import NotificationOutcome, NotificationSnapshot, classify
@@ -45,12 +45,9 @@ class NotificationEntry:
     removed_at: Optional[float] = None
 
     def __post_init__(self) -> None:
-        # Kernel fast path: one memoized per-frame table shared by every
-        # entry with the same (curve, duration, refresh, height). The
-        # analytic timeline quantizes queries to frame indices, and a
-        # table row's completeness is built by the exact float expression
-        # `progress_at` would evaluate — byte-identical by construction.
-        # None when kernels are off or the interpolator is uncacheable.
+        # One memoized per-frame table shared by every entry with the same
+        # (curve, duration, refresh, height): the analytic timeline
+        # quantizes queries to frame indices and reads the table's rows.
         self._table = frame_table(
             self.interpolator,
             self.duration_ms,
@@ -71,19 +68,14 @@ class NotificationEntry:
         if elapsed < self.refresh_interval_ms:
             return 0.0
         frames = math.floor(elapsed / self.refresh_interval_ms)
-        if self._table is not None:
-            return self._table.completeness_at_frame(frames)
-        frame_time = min(frames * self.refresh_interval_ms, self.duration_ms)
-        return self.interpolator.value(frame_time / self.duration_ms)
+        return self._table.completeness_at_frame(frames)
 
     def pixels_at(self, time: float) -> int:
         elapsed = time - self.anim_start
         if elapsed < self.refresh_interval_ms:
             return 0
-        if self._table is not None:
-            frames = math.floor(elapsed / self.refresh_interval_ms)
-            return self._table.pixels_at_frame(frames)
-        return rendered_pixels(self.progress_at(time), self.view_height_px)
+        frames = math.floor(elapsed / self.refresh_interval_ms)
+        return self._table.pixels_at_frame(frames)
 
     @property
     def view_complete_at(self) -> float:

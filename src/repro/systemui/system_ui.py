@@ -16,7 +16,6 @@ from typing import Dict, List, Optional
 
 from ..animation.animator import ANIMATION_DURATION_STANDARD, Animator
 from ..animation.interpolators import FastOutSlowInInterpolator
-from ..animation.kernels import frame_table
 from ..binder.router import BinderRouter
 from ..binder.transaction import BinderTransaction
 from ..devices.profiles import DeviceProfile
@@ -28,7 +27,7 @@ from .notification import NotificationEntry, NotificationRecord
 from .outcomes import NotificationOutcome, NotificationSnapshot, classify
 
 #: The slide-in easing curve. Stateless, so one shared instance serves all
-#: alerts (and keys the same frame table for every System UI on a device).
+#: alerts.
 _ALERT_INTERPOLATOR = FastOutSlowInInterpolator()
 
 
@@ -105,16 +104,6 @@ class SystemUi(SimProcess):
                 "postNotification": self._handle_post,
             },
         )
-        # Prewarm the slide-in frame tables at boot (no-ops with kernels
-        # off): the first alert of the first trial then hits the cache
-        # instead of paying table construction mid-simulation. One table
-        # per consumer shape — the entry's pixel table and the FRAME-mode
-        # animator's completeness-only (height 0) table.
-        frame_table(_ALERT_INTERPOLATOR, ANIMATION_DURATION_STANDARD,
-                    profile.refresh_interval_ms,
-                    profile.notification_view_height_px)
-        frame_table(_ALERT_INTERPOLATOR, ANIMATION_DURATION_STANDARD,
-                    profile.refresh_interval_ms, 0)
 
     def rearm(self) -> None:
         """Reset to boot state for stack reuse; the alert mode is part of

@@ -197,6 +197,35 @@ class TestShardSupervision:
         assert registry.counter(SHARDS_COMPLETED_METRIC).value == 5
         assert registry.counter(SHARDS_RETRIED_METRIC).value == 1
 
+    def test_trial_series_are_the_same_at_any_jobs(self):
+        """Shard workers' trial-level metrics reach the driver's registry
+        whether the shards ran in-process or in a pool."""
+        matrix = ScenarioMatrix(
+            name="parity", scenario="notification", scale=QUICK,
+            configs=({"attacking_window_ms": 80.0},
+                     {"attacking_window_ms": 160.0}),
+            fault_profiles=("none", "mild"), trials=2,
+            base_params={"duration_ms": 400.0})
+        assert len(matrix) == 8
+
+        def run(jobs):
+            registry = MetricsRegistry()
+            with use_metrics(registry):
+                result = run_campaign(matrix, shards=4, jobs=jobs)
+            # Counter/gauge values and histogram counts; histogram sums
+            # are left out because the trial wall-time series is
+            # wall-clock.
+            series = {(s.name, s.labels): (s.kind, s.value, s.count)
+                      for s in registry.samples()}
+            return result.aggregates_json(), series
+
+        serial_json, serial = run(1)
+        pooled_json, pooled = run(2)
+        assert ("sim_scheduler_events_dispatched_total", ()) in serial
+        assert ("engine_trials_total", ()) in serial
+        assert pooled == serial
+        assert pooled_json == serial_json
+
 
 # ---------------------------------------------------------------------------
 # O(shards) memory contract

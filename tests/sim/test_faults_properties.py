@@ -12,9 +12,13 @@ Three families of properties:
   attack's committed capture rate falls (within CI-sized slack per step)
   and its actual mistouch exposure ``Tmis`` grows strictly.
 
-Plus unit coverage of :mod:`repro.sim.faults` itself and the regression
-pin for :meth:`TraceLog.record` notifying subscribers while disabled.
+Plus unit coverage of :mod:`repro.sim.faults` itself (including the
+frame-fault sub-stream independence of ``render_time``) and the
+regression pin for :meth:`TraceLog.record` notifying subscribers while
+disabled.
 """
+
+from dataclasses import replace
 
 import pytest
 
@@ -368,6 +372,49 @@ class TestFaultPlan:
         running.run_for(10.0)
         with pytest.raises(SimulationError):
             running.install_faults(make_plan(dispatch_jitter_ms=1.0))
+
+
+# ---------------------------------------------------------------------------
+# Query-side frame faults: what moves render_time, and what must not
+# ---------------------------------------------------------------------------
+
+RENDER_TIMES = [0.0, 3.0, 9.99, 10.0, 35.0, 111.1, 997.0, 2500.0]
+
+
+def frame_draws(profile_, frames=400):
+    plan = FaultPlan(profile_, SeededRng(1234, "faults"))
+    return ([plan._frame_faults_at(i) for i in range(frames)],
+            [plan.render_time(t) for t in RENDER_TIMES])
+
+
+@pytest.mark.parametrize("perturbation", [
+    {"binder_jitter_ms": 9.0},
+    {"binder_drop_probability": 0.5},
+    {"dispatch_jitter_ms": 7.0},
+    {"gc_period_ms": 300.0, "gc_pause_ms": 50.0},
+    # The frame-fault derivation always draws uniform jitter, so even the
+    # distribution knob (which shapes dispatch/Binder latency) must leave
+    # it untouched.
+    {"distribution": "uniform"},
+])
+def test_other_fault_classes_do_not_shift_frame_draws(perturbation):
+    assert frame_draws(replace(PIXEL_LOADED, **perturbation)) == \
+        frame_draws(PIXEL_LOADED)
+
+
+def test_frame_knobs_do_shift_frame_draws():
+    base_rows, base_times = frame_draws(PIXEL_LOADED, frames=64)
+    rows, times = frame_draws(replace(PIXEL_LOADED, frame_jitter_ms=9.0),
+                              frames=64)
+    assert rows != base_rows
+    assert times != base_times
+
+
+def test_frame_quiet_profiles_make_render_time_the_identity():
+    dispatch_only = replace(NONE, name="dispatch-only", dispatch_jitter_ms=2.0)
+    for quiet in (NONE, dispatch_only):
+        plan = FaultPlan(quiet, SeededRng(1234, "faults"))
+        assert [plan.render_time(t) for t in RENDER_TIMES] == RENDER_TIMES
 
 
 # ---------------------------------------------------------------------------

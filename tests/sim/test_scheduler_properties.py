@@ -7,7 +7,11 @@ reproduce exactly) and asserts the scheduler's structural invariants:
 * a cancelled event is never dispatched, an uncancelled one always is;
 * ``pending_count`` (now an O(1) maintained counter) always equals the
   brute-force count of live events in the heap, across arbitrary
-  interleavings of schedule / cancel / step.
+  interleavings of schedule / cancel / step;
+* every event ever scheduled is accounted for
+  (``scheduled == dispatched + cancelled + pending``) through a seeded
+  cancel/reschedule storm, and handles of events that already left the
+  queue — dispatched, or discarded by ``reset()`` — are inert.
 """
 
 import random
@@ -15,6 +19,7 @@ import random
 import pytest
 
 from repro.sim.clock import Clock
+from repro.sim.errors import EventCancelledError
 from repro.sim.scheduler import EventScheduler
 
 SEEDS = [7, 1918, 20220701]
@@ -149,3 +154,80 @@ class TestPendingCountInvariant:
             scheduler.schedule_after(float(rng.randint(0, 3)), lambda: spawn(4))
         scheduler.run_to_completion()
         assert scheduler.pending_count == 0
+
+
+def _storm(scheduler: EventScheduler, seed: int):
+    """A seeded cancel/reschedule storm; returns the four counters.
+
+    Each dispatched callback may reschedule itself; between steps, random
+    handles (pending or already dispatched) are cancelled — twice, so a
+    repeat cancel is exercised too.
+    """
+    rng = random.Random(seed)
+    handles = []
+
+    def make_callback(label: str, depth: int):
+        def fire():
+            if depth > 0 and rng.random() < 0.4:
+                handles.append(scheduler.schedule_after(
+                    float(rng.randint(0, 12)),
+                    make_callback(f"{label}.r", depth - 1),
+                    name=f"{label}.r",
+                ))
+        return fire
+
+    for index in range(120):
+        handles.append(scheduler.schedule_after(
+            float(rng.randint(0, 60)),
+            make_callback(f"e{index}", depth=2),
+            name=f"e{index}",
+        ))
+        if rng.random() < 0.35:
+            victim = handles[rng.randrange(len(handles))]
+            victim.cancel_if_pending()
+            # A second cancel must always report "already cancelled".
+            assert victim.cancel_if_pending() is False
+        if rng.random() < 0.30:
+            scheduler.step()
+    scheduler.run_to_completion()
+    return (scheduler.scheduled_count, scheduler.dispatched_count,
+            scheduler.cancelled_count, scheduler.pending_count)
+
+
+@pytest.mark.parametrize("seed", [11, 4242, 20260808])
+def test_accounting_invariant_holds_under_storm(seed):
+    scheduled, dispatched, cancelled, pending = _storm(
+        EventScheduler(Clock()), seed)
+    assert scheduled == dispatched + cancelled + pending
+    assert pending == 0  # run_to_completion drained the queue
+
+
+def test_cancelling_a_dispatched_handle_leaves_the_counters_alone():
+    scheduler = EventScheduler(Clock())
+    first = scheduler.schedule_at(1.0, lambda: None, name="first")
+    scheduler.run_to_completion()
+    second = scheduler.schedule_at(2.0, lambda: None, name="second")
+    # Cancelling an event that already fired is a silent no-op for the
+    # scheduler: the handle flips, nothing else moves.
+    assert first.cancel_if_pending() is True
+    assert first.time == 1.0 and first.name == "first"
+    assert not second.cancelled
+    assert scheduler.pending_count == 1
+    assert scheduler.cancelled_count == 0
+    with pytest.raises(EventCancelledError):
+        first.cancel()
+    scheduler.run_to_completion()
+    assert scheduler.dispatched_count == 2
+
+
+def test_reset_inerts_pending_handles():
+    scheduler = EventScheduler(Clock())
+    pending = scheduler.schedule_at(5.0, lambda: None, name="doomed")
+    scheduler.reset()
+    assert scheduler.pending_count == 0
+    # A late cancel on a pre-reset handle must not corrupt the new run.
+    assert pending.cancel_if_pending() is True
+    assert scheduler.pending_count == 0
+    assert scheduler.cancelled_count == 0
+    scheduler.schedule_at(1.0, lambda: None)
+    assert scheduler.pending_count == 1

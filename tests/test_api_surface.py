@@ -8,6 +8,7 @@ accidental breaking change (fix the package).
 
 import repro
 import repro.api
+import repro.experiments
 
 REPRO_ALL = [
     "AlertMode",
@@ -75,6 +76,26 @@ API_ALL = [
     "run_matrix",
 ]
 
+#: The ``run_*`` callables ``repro.experiments`` exports. No suite
+#: experiment has an entry point of its own (no ``run_fig7``): they all
+#: run through ``repro.api.run_experiment``.
+EXPERIMENTS_RUNNERS = [
+    "run_all",
+    "run_ana_removal_whatif",
+    "run_campaign",
+    "run_capture_trial",
+    "run_experiments",
+    "run_families",
+    "run_family",
+    "run_flooding_trial",
+    "run_gui_agent_trial",
+    "run_notification_trial",
+    "run_one_isolated",
+    "run_password_trial",
+    "run_supervised",
+    "run_trial",
+]
+
 
 def test_repro_all_is_pinned():
     assert repro.__all__ == REPRO_ALL
@@ -82,6 +103,12 @@ def test_repro_all_is_pinned():
 
 def test_api_all_is_pinned():
     assert repro.api.__all__ == API_ALL
+
+
+def test_experiments_runners_are_pinned():
+    runners = sorted(name for name in repro.experiments.__all__
+                     if name.startswith("run_"))
+    assert runners == EXPERIMENTS_RUNNERS
 
 
 def test_every_exported_name_resolves():
