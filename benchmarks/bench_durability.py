@@ -23,7 +23,7 @@ is actually observable:
 A final un-stubbed write asserts the funnel still publishes real bytes.
 
 Runs with plain walls (no ``--benchmark-only`` required) so the CI
-fs-chaos leg can execute it directly and gate on the ledger entry.
+``e2e`` job can execute it directly and gate on the ledger entry.
 """
 
 from __future__ import annotations

@@ -8,7 +8,7 @@ query's trials. Both arms answer the identical query, so the comparison
 is pure service overhead, not simulation work.
 
 Runs with plain walls (no ``--benchmark-only`` required) so the CI
-service leg can execute it directly and gate on the ledger entry.
+``e2e`` job can execute it directly and gate on the ledger entry.
 """
 
 from __future__ import annotations

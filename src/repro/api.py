@@ -23,7 +23,6 @@ instruments feed ``registry`` without changing a single result byte.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from typing import Any, List, Optional, Union
 
 from .experiments.campaign import (
@@ -38,16 +37,19 @@ from .experiments.engine import (
     TrialExecutor,
     TrialOutcome,
     scoped_executor,
-    use_executor,
 )
 from .experiments.parallel import (
     ExperimentRequest,
     experiment_names,
     experiment_spec,
-    reset_id_allocators,
-    run_one_isolated,
+    unit_scope,
 )
-from .experiments.resilience import ExperimentFailure, RunPolicy
+from .experiments.resilience import (
+    ExperimentFailure,
+    RunPolicy,
+    SupervisedTask,
+    run_task,
+)
 from .experiments.runner import AllResults, format_report, run_all
 from .serve import (
     FeasibilityQuery,
@@ -55,7 +57,6 @@ from .serve import (
     QueryResponse,
     execute_query,
 )
-from .sim.faults import use_default_profile
 from .stack import AndroidStack, build_stack
 
 __all__ = [
@@ -96,18 +97,16 @@ def _execute_request(request: ExperimentRequest) -> Any:
         if spec.takes_scale:
             return spec.runner(scale, **request.params)
         return spec.runner(**request.params)
-    if request.jobs != 1:
-        with ProcessPoolExecutor(max_workers=1) as pool:
-            return pool.submit(run_one_isolated, request.name, scale).result()
-    if not request.params:
-        return run_one_isolated(request.name, scale)
-    # Same discipline as the worker path, with params threaded through.
-    reset_id_allocators()
-    with use_default_profile(scale.faults), use_executor(TrialExecutor()):
-        if spec.takes_scale:
-            return spec.runner(scale.for_experiment(request.name),
-                               **request.params)
-        return spec.runner(**request.params)
+    # One attempt through the same trampoline and unit scope as a
+    # ``run_all`` worker, chaos fault points included.
+    return run_task(SupervisedTask(name=request.name, fn=_run_in_unit_scope,
+                                   args=(request,)), attempt=1)
+
+
+def _run_in_unit_scope(request: ExperimentRequest) -> Any:
+    scale = request.effective_scale()
+    with unit_scope(scale.faults):
+        return experiment_spec(request.name).run(scale, **request.params)
 
 
 def run_experiment(
@@ -115,16 +114,13 @@ def run_experiment(
     *,
     scale: ExperimentScale = QUICK,
     faults: Optional[str] = None,
-    jobs: int = 1,
     derive_seed: bool = True,
 ) -> Any:
     """Run one named experiment and return its result dataclass.
 
     The typed form — ``run_experiment(ExperimentRequest(name="fig7",
     params={"durations": (50.0, 200.0)}))`` — validates everything
-    eagerly (unknown names, unknown fault profiles, params with
-    ``jobs != 1``, ``derive_seed=False`` with ``jobs != 1``) and is the
-    form the feasibility service speaks. Passing an
+    eagerly (unknown experiment names, unknown fault profiles). Passing an
     :class:`ExperimentRequest` together with any other argument is a
     :class:`TypeError`: the request already carries them all.
 
@@ -134,27 +130,22 @@ def run_experiment(
 
     ``derive_seed=True`` (the default) reproduces exactly what
     ``run_all`` does for this experiment: the seed is derived from
-    ``(scale.name, scale.seed, name)``, the global id allocators restart,
-    and the scale's fault regime plus a fresh stack-reuse executor are
-    installed ambiently — so the result is bit-identical to the same
-    experiment's slot in the full suite. ``derive_seed=False`` instead
-    calls the implementation directly with ``scale`` as given, for
-    callers that pin their own seeds.
-
-    ``jobs=1`` runs in-process. Any other value runs the experiment in a
-    worker subprocess — one experiment never fans wider than one worker,
-    so this only buys a clean process, not speed.
+    ``(scale.name, scale.seed, name)`` and the experiment runs inside the
+    same :func:`~repro.experiments.parallel.unit_scope` as a ``run_all``
+    worker — so the result is bit-identical to the same experiment's
+    slot in the full suite. ``derive_seed=False`` instead calls the
+    implementation directly with ``scale`` as given, for callers that
+    pin their own seeds. Either way the experiment runs in-process.
     """
     if isinstance(request, ExperimentRequest):
-        if (scale is not QUICK or faults is not None or jobs != 1
+        if (scale is not QUICK or faults is not None
                 or derive_seed is not True):
             raise TypeError(
-                "pass scale/faults/jobs/derive_seed on the "
+                "pass scale/faults/derive_seed on the "
                 "ExperimentRequest itself, not alongside it")
         return _execute_request(request)
     return _execute_request(ExperimentRequest(
-        name=request, scale=scale, faults=faults, jobs=jobs,
-        derive_seed=derive_seed))
+        name=request, scale=scale, faults=faults, derive_seed=derive_seed))
 
 
 def query_feasibility(

@@ -61,14 +61,13 @@ from .parallel import (
     experiment_spec,
     reset_id_allocators,
     run_experiments,
-    run_one_isolated,
 )
+from ..storage.envelope import CacheIntegrityError
+from ..storage.journal import JournalError
 from .resilience import (
-    CacheIntegrityError,
     ChaosCrash,
     DEFAULT_POLICY,
     ExperimentFailure,
-    JournalError,
     RunJournal,
     RunPolicy,
     SupervisedTask,
@@ -200,7 +199,6 @@ __all__ = [
     "resolve_jobs",
     "run_campaign",
     "run_experiments",
-    "run_one_isolated",
     "run_supervised",
     "shard_matrix",
     "CaptureTrialResult",

@@ -21,10 +21,12 @@ one resumable campaign. This module is that layer:
   (:func:`~repro.experiments.resilience.run_supervised`): per-shard
   retries, deadlines, broken-pool recovery and the chaos harness all
   apply, with the shard name (``shard-0042``) as the fault-point key.
-* :class:`CampaignManifest` extends the
-  :class:`~repro.experiments.resilience.RunJournal` layout
-  (``campaign.json`` + one atomic envelope per completed shard) so
-  ``repro campaign --resume DIR`` re-runs only unfinished shards.
+* :class:`CampaignManifest` is the
+  :class:`~repro.experiments.resilience.RunJournal` of a campaign: the
+  same ``run.json`` manifest (kind ``campaign``, identity = matrix
+  fingerprint + shard count, plan = shard names) and one atomic
+  envelope per completed shard, so ``repro campaign --resume DIR``
+  re-runs only unfinished shards.
   Because digests merge *exactly* (see :mod:`.aggregate`), a killed and
   resumed campaign's aggregates are bit-identical to an uninterrupted
   run's — as is any re-sharding of the same matrix.
@@ -51,19 +53,15 @@ from .aggregate import (
     default_trial_metrics,
 )
 from .config import FULL, QUICK, SMOKE, ExperimentScale, resolve_jobs
-from .engine import ScenarioMatrix, TrialExecutor, TrialSpec, use_executor
-from .parallel import reset_id_allocators
+from .engine import ScenarioMatrix, TrialSpec
+from .parallel import unit_scope
 from .resilience import (
     DEFAULT_POLICY,
     ExperimentFailure,
-    JournalError,
-    PoisonedResult,
-    ResultIntegrityError,
     RunJournal,
     RunPolicy,
     SupervisedTask,
     Supervisor,
-    chaos_fire,
     run_supervised,
 )
 
@@ -189,37 +187,24 @@ def _run_shard(
     extractor: Optional[MetricExtractor],
     group_by: Optional[GroupBy],
     collect_metrics: bool = False,
-    attempt: int = 1,
 ):
     """Worker entry point: run one shard's cell range, return its digest.
 
-    Module-level so it pickles for the pool path; mirrors the experiment
-    worker's discipline (chaos gate at entry, id-allocator reset, scale
-    fault regime + fresh stack-reuse executor installed ambiently).
+    Module-level so it pickles for the pool path; runs inside the same
+    :func:`~repro.experiments.parallel.unit_scope` as an experiment.
     With ``collect_metrics`` the shard records into a fresh
     :class:`~repro.obs.metrics.MetricsRegistry` and returns its samples,
-    so serial and pool runs report the same series to the driver.
-    ``attempt`` is consulted only by the chaos harness — trial seeds come
-    from the matrix cells, so a crash-then-retry shard is bit-identical
-    to one that never crashed.
+    so serial and pool runs report the same series to the driver. Trial
+    seeds come from the matrix cells, so a crash-then-retry shard is
+    bit-identical to one that never crashed.
     """
-    from ..obs.context import use_metrics
-    from ..obs.metrics import MetricsRegistry
-    from ..sim.faults import use_default_profile
-
-    if chaos_fire(shard.name, attempt) == "poison":
-        return PoisonedResult(name=shard.name, attempt=attempt)
-
     extract = extractor if extractor is not None else default_trial_metrics
-    reset_id_allocators()
     aggregate = CampaignAggregate()
-    registry = MetricsRegistry() if collect_metrics else None
     trials = 0
     start = time.perf_counter()
-    with use_metrics(registry), use_default_profile(matrix.scale.faults), \
-            use_executor(TrialExecutor()) as executor:
+    with unit_scope(matrix.scale.faults, collect_metrics) as scope:
         for spec in islice(matrix.cells(), shard.start, shard.stop):
-            value = executor.run(spec)
+            value = scope.executor.run(spec)
             group = group_by(spec, value) if group_by is not None \
                 else DEFAULT_GROUP
             aggregate.observe(group, extract(spec, value))
@@ -230,19 +215,8 @@ def _run_shard(
         aggregate_state=aggregate.to_dict(),
         seconds=time.perf_counter() - start,
         pid=os.getpid(),
-        samples=registry.samples() if registry is not None else None,
+        samples=scope.samples(),
     )
-
-
-def _check_shard_payload(payload) -> None:
-    """Reject worker payloads the supervisor must not accept as results."""
-    if isinstance(payload, PoisonedResult):
-        raise ResultIntegrityError(
-            f"worker returned a poisoned result for {payload.name!r} "
-            f"(attempt {payload.attempt})")
-    if not isinstance(payload, ShardOutcome):
-        raise ResultIntegrityError(
-            f"worker returned {type(payload).__name__}, not a ShardOutcome")
 
 
 # ---------------------------------------------------------------------------
@@ -277,25 +251,18 @@ def matrix_fingerprint(matrix: ScenarioMatrix) -> str:
 
 
 class CampaignManifest(RunJournal):
-    """Crash-safe record of one campaign under a run directory.
+    """The :class:`RunJournal` of one campaign: units are shards.
 
-    Extends the :class:`RunJournal` layout::
-
-        RUN_DIR/
-          campaign.json            # matrix fingerprint + shard plan
-          results/shard-0007.pkl   # one envelope per completed shard
-          failures/shard-0007.json # forensic record of permanent failures
-
-    The manifest pins the matrix *fingerprint* and the shard count, so
-    :meth:`resume` refuses a directory journaling a different campaign —
-    or the same matrix re-sharded differently, since shard markers from
-    one plan mean nothing under another.
+    Its identity pins the matrix *fingerprint* and the shard count, so
+    :meth:`resume` refuses a directory journaling a different campaign
+    — or the same matrix re-sharded differently, since shard markers
+    from one plan mean nothing under another.
     """
 
-    MANIFEST = "campaign.json"
+    KIND = "campaign"
 
     #: Campaign writes are their own fault-injection target
-    #: (``fs:campaign:...``), distinct from plain run journals.
+    #: (``fs:campaign:...``), distinct from experiment-run journals.
     SURFACE = "campaign"
 
     def __init__(self, root: Path, matrix: ScenarioMatrix,
@@ -304,61 +271,12 @@ class CampaignManifest(RunJournal):
         self.matrix = matrix
         self.shards = int(shards)
 
-    # -- construction ---------------------------------------------------
-    @classmethod
-    def create(cls, root: Path, matrix: ScenarioMatrix,
-               shards: int) -> "CampaignManifest":
-        """Start journaling a fresh campaign into ``root``.
+    def identity(self) -> dict:
+        return {"matrix_fingerprint": matrix_fingerprint(self.matrix),
+                "shards": self.shards}
 
-        Refuses a directory that already holds completed shards — that
-        is either a finished campaign (nothing to do) or an interrupted
-        one the caller probably meant to ``--resume``.
-        """
-        manifest = cls(root, matrix, shards)
-        if manifest.manifest_path.exists() and manifest.completed_names():
-            raise JournalError(
-                f"{manifest.root} already contains completed shards; "
-                "resume it (--resume) or choose a fresh --run-dir")
-        manifest._write_manifest()
-        return manifest
-
-    @classmethod
-    def resume(cls, root: Path, matrix: ScenarioMatrix,
-               shards: int) -> "CampaignManifest":
-        """Open ``root`` for (re-)running this campaign.
-
-        A missing manifest starts a fresh one (``--resume`` is safe on
-        the very first run); an existing one must match the requested
-        matrix fingerprint and shard plan exactly.
-        """
-        manifest = cls(root, matrix, shards)
-        if not manifest.manifest_path.exists():
-            manifest._write_manifest()
-            return manifest
-        try:
-            existing = json.loads(manifest.manifest_path.read_text())
-        except (OSError, ValueError) as exc:
-            raise JournalError(
-                f"unreadable campaign manifest {manifest.manifest_path}: "
-                f"{exc}") from exc
-        if existing != manifest._manifest():
-            raise JournalError(
-                f"{manifest.root} journals a different campaign (matrix, "
-                "shard plan or format mismatch); choose a fresh --run-dir")
-        manifest.sweep_orphans()
-        return manifest
-
-    # -- manifest -------------------------------------------------------
-    def _manifest(self) -> dict:
-        return json.loads(json.dumps({
-            "campaign_format": 1,
-            "campaign_version": self.version,
-            "name": self.matrix.name,
-            "scenario": self.matrix.scenario,
-            "cells": len(self.matrix),
-            "shards": self.shards,
-            "matrix_fingerprint": matrix_fingerprint(self.matrix),
-        }))
+    def plan(self) -> Tuple[str, ...]:
+        return tuple(shard_name(index) for index in range(self.shards))
 
 
 # ---------------------------------------------------------------------------
@@ -498,7 +416,6 @@ def run_campaign(
         jobs=jobs,
         on_success=on_success,
         on_failure=on_failure,
-        check=_check_shard_payload,
     )
     count(SHARDS_RETRIED_METRIC, supervisor.retries)
 

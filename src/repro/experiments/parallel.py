@@ -21,9 +21,14 @@ Three properties make ``jobs=N`` bit-identical to ``jobs=1``:
 
 The same ``(name, scale)`` key also addresses an optional on-disk result
 cache, so a repeated ``run_all`` invocation only re-runs experiments whose
-scale (or the cache version) changed. Entries are wrapped in the
-checksummed envelope from :mod:`repro.experiments.resilience`, so corrupt
-or stale bytes degrade to a miss instead of a poisoned report.
+scale (or the cache version) changed. The cache is a key derivation over
+:class:`~repro.storage.envelope.EnvelopeCache`, so corrupt or stale bytes
+degrade to a miss instead of a poisoned report.
+
+Every unit of work — an experiment here, a campaign shard, a direct
+``run_experiment`` call — runs inside :func:`unit_scope`, the one worker
+preamble (id reset, ambient fault regime, fresh stack-reuse executor,
+optional metrics registry).
 
 Execution is *supervised* (:class:`~repro.experiments.resilience.RunPolicy`):
 worker exceptions, deadline overruns and even a broken process pool are
@@ -43,9 +48,13 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from ..obs.context import use_metrics
+from ..obs.metrics import MetricsRegistry
 from ..serialization import SerializableMixin
+from ..sim.faults import use_default_profile
+from ..storage.envelope import EnvelopeCache
 from .animation_curves import _run_fig2, _run_fig4
 from .capture_rate import _run_fig7, _run_fig8
 from .config import QUICK, ExperimentScale, resolve_jobs
@@ -56,6 +65,7 @@ from .defense_eval import (
     _run_toast_defense,
 )
 from .defense_tuning import _run_defense_tuning
+from .engine import TrialExecutor, use_executor
 from .equation_validation import _run_equation_validation
 from .noise_sensitivity import _run_noise_sensitivity
 from .outcomes_vs_d import _run_fig6
@@ -67,20 +77,13 @@ from .resilience import (
     DEFAULT_POLICY,
     FAILURES_METRIC,
     RETRIES_METRIC,
-    CacheIntegrityError,
     ExperimentFailure,
-    PoisonedResult,
-    ResultIntegrityError,
     RunJournal,
     RunPolicy,
     SupervisedTask,
     Supervisor,
-    chaos_fire,
-    decode_envelope,
-    encode_envelope,
     run_supervised,
 )
-from ..storage.store import DurableStore
 from .supplementary import _run_fig7_with_cis, _run_table3_by_version
 from .toast_continuity import _run_toast_continuity
 from .trigger_comparison import _run_trigger_comparison
@@ -105,10 +108,11 @@ class ExperimentSpec:
     #: Whether ``runner`` accepts an :class:`ExperimentScale`.
     takes_scale: bool = True
 
-    def run(self, scale: ExperimentScale):
+    def run(self, scale: ExperimentScale, **params: Any):
+        """Run at ``scale``'s derived per-experiment seed."""
         if not self.takes_scale:
-            return self.runner()
-        return self.runner(scale.for_experiment(self.name))
+            return self.runner(**params)
+        return self.runner(scale.for_experiment(self.name), **params)
 
 
 #: Every experiment of the suite, in the serial runner's historical order.
@@ -186,12 +190,9 @@ def experiment_names() -> Tuple[str, ...]:
 class ExperimentRequest(SerializableMixin):
     """A fully-typed ``run_experiment`` invocation, validated eagerly.
 
-    The loose-kwargs form of :func:`repro.api.run_experiment` hid two
-    traps: extra params silently cannot cross the process boundary, and
-    ``jobs != 1`` buys a clean worker process for isolation — never
-    speed, since one experiment is one unit of work. This request type
-    makes both rules explicit and rejects the illegal combinations at
-    construction, before any work is scheduled.
+    Unknown experiment names and unknown fault profiles are rejected at
+    construction, before any work is scheduled. The request always runs
+    in-process: one experiment is one unit of work.
     """
 
     #: Entry of :func:`experiment_names` (``"fig7"``, ``"table3"``, ...).
@@ -199,14 +200,10 @@ class ExperimentRequest(SerializableMixin):
     scale: ExperimentScale = QUICK
     #: Overrides the scale's ambient fault regime when set.
     faults: Optional[str] = None
-    #: ``1`` runs in-process; anything else runs in one worker subprocess
-    #: for isolation (never parallelism — see class docstring).
-    jobs: int = 1
     #: ``True`` reproduces the experiment's ``run_all`` slot exactly;
     #: ``False`` calls the implementation directly with ``scale`` as given.
     derive_seed: bool = True
-    #: Extra keyword params for the experiment function. Only legal with
-    #: ``jobs=1`` — params cannot cross the process boundary.
+    #: Extra keyword params for the experiment function.
     params: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -218,17 +215,6 @@ class ExperimentRequest(SerializableMixin):
                 known = ", ".join(sorted(PROFILES))
                 raise ValueError(
                     f"unknown fault profile {self.faults!r}; known: {known}")
-        if self.jobs < 0:
-            raise ValueError(f"jobs must be >= 0, got {self.jobs!r}")
-        if self.jobs != 1 and self.params:
-            raise ValueError(
-                "experiment params cannot cross the process boundary; "
-                "run with jobs=1, or drop params (jobs != 1 buys a clean "
-                "worker process for isolation, not speed)")
-        if self.jobs != 1 and not self.derive_seed:
-            raise ValueError(
-                "derive_seed=False calls the experiment implementation "
-                "directly and therefore runs in-process; use jobs=1")
         object.__setattr__(self, "params", dict(self.params))
 
     def effective_scale(self) -> ExperimentScale:
@@ -256,17 +242,42 @@ def reset_id_allocators() -> None:
     reset_window_ids()
 
 
-def run_one_isolated(name: str, scale: ExperimentScale):
-    """Run one experiment exactly as a pool worker would; return its result.
+@dataclass(frozen=True)
+class UnitScope:
+    """What :func:`unit_scope` installs for one unit of work."""
 
-    The supported cross-process entry point: module-level (pickles by
-    qualified name), resets the id allocators, installs the scale's
-    fault regime and a fresh stack-reuse executor, and runs ``name`` at
-    its derived per-experiment seed — so the result is bit-identical to
-    the same experiment's slot in a full ``run_all`` pass.
+    #: The unit's own stack-reuse executor, installed ambiently.
+    executor: TrialExecutor
+    #: The unit's own metrics registry (``None`` without metrics).
+    registry: Optional[MetricsRegistry]
+
+    def samples(self):
+        """The unit's metric snapshot, or ``None`` without metrics."""
+        return self.registry.samples() if self.registry is not None else None
+
+
+@contextlib.contextmanager
+def unit_scope(faults: str,
+               collect_metrics: bool = False) -> Iterator[UnitScope]:
+    """The one worker preamble for a unit of supervised work.
+
+    Resets the id allocators, installs the ``faults`` regime as the
+    ambient default, a fresh :class:`TrialExecutor` and — with
+    ``collect_metrics`` — a fresh :class:`MetricsRegistry`, so every
+    stack the unit builds, however deep in the call tree, sees the same
+    regime whether it runs serially or in a pool process. Executors and
+    registries never cross the process boundary; only the pickled
+    snapshot from :meth:`UnitScope.samples` does. Without metrics the
+    ambient registry, if any, stays visible.
     """
-    _, result, _, _, _ = _execute_one(name, scale)
-    return result
+    reset_id_allocators()
+    scope = UnitScope(
+        executor=TrialExecutor(),
+        registry=MetricsRegistry() if collect_metrics else None)
+    metrics = (use_metrics(scope.registry) if collect_metrics
+               else contextlib.nullcontext())
+    with use_default_profile(faults), use_executor(scope.executor), metrics:
+        yield scope
 
 
 def _execute_one(
@@ -274,50 +285,20 @@ def _execute_one(
     scale: ExperimentScale,
     collect_metrics: bool = False,
     profile_dir: Optional[Path] = None,
-    attempt: int = 1,
 ):
     """Worker entry point: run one named experiment at its derived scale.
 
     Module-level so it pickles for :class:`ProcessPoolExecutor`; returns
     ``(name, result, seconds, samples, pid)`` where ``samples`` is the
     experiment's metric snapshot (``None`` unless ``collect_metrics``) and
-    ``pid`` identifies the worker process for utilization accounting. The
-    scale's fault regime is installed as the ambient default *inside* the
-    worker, so every stack the experiment builds — however deep in the
-    call tree — sees the same regime whether the experiment ran serially
-    or in a pool process.
-
-    ``attempt`` numbers the supervision retry (1-based). It is consulted
-    *only* by the chaos harness — the experiment's seed derivation never
-    sees it, which is what makes a crash-then-retry run bit-identical to
-    a clean one.
-
-    Each experiment gets its own :class:`TrialExecutor` installed
-    ambiently, so its trial loops share one pool of reusable stacks
-    (dropped when the experiment finishes, keeping workers lean). With
-    ``collect_metrics`` it likewise gets its own
-    :class:`~repro.obs.metrics.MetricsRegistry` — registries never cross
-    the process boundary, only their pickled sample snapshots do. With
-    ``profile_dir`` the experiment body runs under :mod:`cProfile` and its
-    stats dump to ``profile_dir/<name>.prof``.
+    ``pid`` identifies the worker process for utilization accounting.
+    The experiment runs inside :func:`unit_scope`. With ``profile_dir``
+    the experiment body runs under :mod:`cProfile` and its stats dump to
+    ``profile_dir/<name>.prof``.
     """
-    from ..obs.context import use_metrics
-    from ..obs.metrics import MetricsRegistry
-    from ..sim.faults import use_default_profile
-    from .engine import TrialExecutor, use_executor
-
-    if chaos_fire(name, attempt) == "poison":
-        return name, PoisonedResult(name=name, attempt=attempt), 0.0, None, \
-            os.getpid()
-
     spec = _SPECS[name]
-    reset_id_allocators()
-    registry = MetricsRegistry() if collect_metrics else None
     start = time.perf_counter()
-    metrics_ctx = (use_metrics(registry) if collect_metrics
-                   else contextlib.nullcontext())
-    with use_default_profile(scale.faults), use_executor(TrialExecutor()), \
-            metrics_ctx:
+    with unit_scope(scale.faults, collect_metrics) as scope:
         if profile_dir is not None:
             import cProfile
 
@@ -328,17 +309,7 @@ def _execute_one(
         else:
             result = spec.run(scale)
     seconds = time.perf_counter() - start
-    samples = registry.samples() if registry is not None else None
-    return name, result, seconds, samples, os.getpid()
-
-
-def _check_payload(payload) -> None:
-    """Reject worker payloads the supervisor must not accept as results."""
-    _, result, _, _, _ = payload
-    if isinstance(result, PoisonedResult):
-        raise ResultIntegrityError(
-            f"worker returned a poisoned result for {result.name!r} "
-            f"(attempt {result.attempt})")
+    return name, result, seconds, scope.samples(), os.getpid()
 
 
 # ---------------------------------------------------------------------------
@@ -353,61 +324,43 @@ def default_cache_dir() -> Path:
     return Path.home() / ".cache" / "repro" / "experiments"
 
 
-class ResultCache:
+class ResultCache(EnvelopeCache):
     """Envelope-per-key store of experiment results.
 
     Keys are ``(experiment_name, every ExperimentScale field,
     CACHE_VERSION)`` — exactly the inputs the result is a pure function
-    of. Entries are checksummed envelopes
-    (:func:`~repro.experiments.resilience.encode_envelope`): corrupt,
-    truncated or stale-version bytes degrade to a miss, counted on
-    :attr:`integrity_rejects` and the ambient ``repro.obs`` registry as
-    ``cache_integrity_rejects_total``. Writes go through collision-free
-    temp files, so concurrent ``run_all`` invocations sharing a cache
-    directory cannot clobber each other mid-write.
+    of. Corrupt, truncated or stale-version bytes degrade to a miss,
+    counted on :attr:`integrity_rejects` and the ambient ``repro.obs``
+    registry as ``cache_integrity_rejects_total``. No memory front: one
+    ``run_all`` pass reads each entry once, and a failed write must read
+    back as a miss.
     """
 
     def __init__(self, directory: Path) -> None:
-        self.directory = Path(directory)
-        # The cache is optional-durability: a failed write is a counted
-        # miss on the next run, never a failed experiment.
-        self._store = DurableStore("cache", required=False)
-        #: Entries rejected by envelope validation since construction.
-        self.integrity_rejects = 0
+        super().__init__(directory, surface="cache", version=CACHE_VERSION,
+                         reject_metrics=(CACHE_REJECTS_METRIC,),
+                         memory=False)
 
-    def path_for(self, name: str, scale: ExperimentScale) -> Path:
+    @staticmethod
+    def key(name: str, scale: ExperimentScale) -> str:
         fields = dataclasses.asdict(scale)
         material = ":".join(
             [f"v{CACHE_VERSION}", name]
             + [f"{key}={fields[key]!r}" for key in sorted(fields)]
         )
         digest = hashlib.sha256(material.encode("utf-8")).hexdigest()[:16]
-        return self.directory / f"{name}-{scale.name}-{digest}.pkl"
+        return f"{name}-{scale.name}-{digest}"
 
-    def _note_reject(self) -> None:
-        from ..obs.context import current_metrics
-
-        self.integrity_rejects += 1
-        registry = current_metrics()
-        if registry is not None:
-            registry.counter(CACHE_REJECTS_METRIC).inc()
+    def path_for(self, name: str, scale: ExperimentScale) -> Path:
+        return super().path_for(self.key(name, scale))
 
     def load(self, name: str, scale: ExperimentScale):
-        data = self._store.read_bytes(self.path_for(name, scale))
-        if data is None:
-            return None
-        try:
-            return decode_envelope(CACHE_VERSION, data)
-        except CacheIntegrityError:
-            self._note_reject()
-            return None
+        return super().load(self.key(name, scale))
 
     def store(self, name: str, scale: ExperimentScale, result) -> bool:
         """Persist one result; ``False`` means the write degraded to a
         miss (the run carries on, the entry recomputes next time)."""
-        return self._store.write_bytes(
-            self.path_for(name, scale),
-            encode_envelope(CACHE_VERSION, result))
+        return super().store(self.key(name, scale), result)
 
 
 # ---------------------------------------------------------------------------
@@ -553,7 +506,6 @@ def run_experiments(
         on_success=lambda task, payload, attempt, seconds:
             record_run(*payload, attempts=attempt),
         on_failure=record_failure,
-        check=_check_payload,
     )
 
     failures = tuple(supervisor.failures[spec.name] for spec in EXPERIMENTS

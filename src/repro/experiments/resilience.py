@@ -1,38 +1,31 @@
-"""Fault-tolerant experiment supervision: policies, failures, journals.
+"""Fault-tolerant supervision: policies, failures, the journal, chaos.
 
-The parallel runner (:mod:`repro.experiments.parallel`) fans ~21
-experiments over a process pool. Before this module existed, one worker
-exception — or a worker dying and breaking the whole pool — aborted
-``run_all`` and discarded every completed result, and the on-disk result
-cache trusted any bytes that happened to unpickle. This module supplies
-the pieces that make the runner survive the same kinds of partial
-failure the paper exploits inside Android's UI pipeline:
+Every unit of supervised work — a paper experiment, a campaign shard, a
+served feasibility query — runs through this module. One worker
+exception, or a worker dying and breaking the whole pool, costs only
+that unit's attempts; this module supplies the pieces:
 
-* :class:`RunPolicy` — per-experiment deadlines, bounded retries and a
+* :class:`RunPolicy` — per-unit deadlines, bounded retries and a
   *deterministic* exponential backoff whose jitter derives from
-  ``(seed, experiment, attempt)``, so a retry schedule is as
-  reproducible as the experiments themselves;
+  ``(seed, unit, attempt)``, so a retry schedule is as reproducible as
+  the experiments themselves;
 * :class:`ExperimentFailure` — what the runner records instead of
   raising: exception repr, traceback text, attempts and elapsed time,
   so a 20/21 run still renders a usable (explicitly degraded) report;
-* a **checksummed envelope** for every persisted result
-  (:func:`encode_envelope` / :func:`decode_envelope`): magic + version +
-  sha256 over the pickle payload, so a corrupt, truncated or stale cache
-  entry degrades to a miss instead of feeding garbage into a report;
-* :class:`RunJournal` — ``run.json`` plus one atomically-written
-  completion marker per experiment under a run directory, enabling
-  ``repro report --resume RUN_DIR`` to re-run only the experiments a
-  crash or Ctrl-C left unfinished;
+* :class:`RunJournal` — the one journal: a ``run.json`` manifest plus
+  one atomically-written envelope per completed unit, for experiment
+  runs and (through ``CampaignManifest``) campaigns alike, enabling
+  ``--resume RUN_DIR`` to re-run only what a crash left unfinished;
 * a **chaos harness** (:func:`chaos_action`) — env-keyed fault points
-  that crash, hang, kill or poison specific ``(experiment, attempt)``
-  pairs, mirroring the deterministic style of :mod:`repro.sim.faults`
-  one layer up: the fault *injection* is configuration, never chance;
+  that crash, hang, kill or poison specific ``(unit, attempt)`` pairs,
+  mirroring the deterministic style of :mod:`repro.sim.faults` one
+  layer up: the fault *injection* is configuration, never chance;
+* :func:`run_task` — the one worker trampoline: every supervised call
+  passes the chaos gate and the poison check here, and nowhere else;
 * the **generic supervised runner** (:func:`run_supervised`) — the
-  retry/deadline/broken-pool state machine itself, factored out of the
-  experiment runner so any unit of work (an experiment, a campaign
-  shard) can be fanned out under the same policy semantics. The
-  experiment suite (:mod:`repro.experiments.parallel`) and the campaign
-  layer (:mod:`repro.experiments.campaign`) are both thin clients.
+  retry/deadline/broken-pool state machine the experiment suite
+  (:mod:`repro.experiments.parallel`) and the campaign layer
+  (:mod:`repro.experiments.campaign`) are both thin clients of.
 
 Nothing here touches experiment code or random streams: supervision
 observes and schedules, so a run with the default policy and no faults
@@ -45,8 +38,6 @@ import dataclasses
 import hashlib
 import json
 import os
-import pickle
-import re
 import time
 import traceback as traceback_module
 from concurrent.futures import (
@@ -71,8 +62,14 @@ from typing import (
 )
 
 from ..serialization import SerializableMixin
+from ..storage.envelope import (
+    CacheIntegrityError,
+    decode_envelope,
+    encode_envelope,
+)
 from ..storage.faults import chaos_spec_text
-from ..storage.store import DurableStore, atomic_write_bytes
+from ..storage.journal import MANIFEST_NAME, JournalError, read_manifest
+from ..storage.store import DurableStore
 from .config import ExperimentScale
 
 # ---------------------------------------------------------------------------
@@ -92,14 +89,6 @@ class DeadlineExceeded(RuntimeError):
 
 class ResultIntegrityError(RuntimeError):
     """A worker returned a payload the supervisor refuses to accept."""
-
-
-class CacheIntegrityError(RuntimeError):
-    """A persisted result failed envelope validation (treated as a miss)."""
-
-
-class JournalError(RuntimeError):
-    """A run directory cannot be (re)used for the requested run."""
 
 
 class ChaosError(ValueError):
@@ -245,90 +234,33 @@ def make_failure(name: str, exc: BaseException, attempts: int,
 
 
 # ---------------------------------------------------------------------------
-# Checksummed result envelope + atomic writes
-# ---------------------------------------------------------------------------
-
-#: First bytes of every persisted result (cache entry or journal marker).
-ENVELOPE_MAGIC = b"repro-envelope\n"
-
-_HEADER_RE = re.compile(r"v(\d+) sha256:([0-9a-f]{64})")
-
-
-def encode_envelope(version: int, obj: object) -> bytes:
-    """Wrap ``obj`` in the integrity envelope: magic, version, checksum.
-
-    The sha256 covers the pickle payload, the version header covers the
-    writer's ``CACHE_VERSION`` — so both bit rot and stale formats are
-    detected *before* ``pickle.loads`` ever sees the bytes.
-    """
-    payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-    digest = hashlib.sha256(payload).hexdigest()
-    header = f"v{int(version)} sha256:{digest}\n".encode("ascii")
-    return ENVELOPE_MAGIC + header + payload
-
-
-def decode_envelope(version: int, data: bytes) -> object:
-    """Validate and unwrap an envelope; raise :class:`CacheIntegrityError`.
-
-    Every reject names its reason — bad magic (foreign or pre-envelope
-    file), truncated or malformed header, stale version, checksum
-    mismatch, or a payload that no longer unpickles.
-    """
-    if not data.startswith(ENVELOPE_MAGIC):
-        raise CacheIntegrityError("missing envelope magic")
-    try:
-        header_end = data.index(b"\n", len(ENVELOPE_MAGIC))
-    except ValueError:
-        raise CacheIntegrityError("truncated envelope header") from None
-    header = data[len(ENVELOPE_MAGIC):header_end].decode("ascii", "replace")
-    match = _HEADER_RE.fullmatch(header)
-    if match is None:
-        raise CacheIntegrityError(f"malformed envelope header {header!r}")
-    if int(match.group(1)) != int(version):
-        raise CacheIntegrityError(
-            f"stale envelope version v{match.group(1)} (expected "
-            f"v{int(version)})")
-    payload = data[header_end + 1:]
-    if hashlib.sha256(payload).hexdigest() != match.group(2):
-        raise CacheIntegrityError("payload checksum mismatch")
-    try:
-        return pickle.loads(payload)
-    except Exception as exc:
-        raise CacheIntegrityError(
-            f"checksummed payload failed to unpickle: {exc!r}") from exc
-
-
-# ``atomic_write_bytes`` lived here through PR 9; it is now the raw
-# primitive of :mod:`repro.storage.store` (imported above and still
-# re-exported from this module), where the :class:`DurableStore`
-# surfaces wrap it with fault injection and degradation policy.
-
-
-# ---------------------------------------------------------------------------
 # Run journal (checkpoint / resume)
 # ---------------------------------------------------------------------------
 
 class RunJournal:
-    """Crash-safe record of one ``run_all`` pass under a run directory.
+    """Crash-safe record of one supervised run under a run directory.
 
-    Layout::
+    The one journal for both kinds of run: an experiment suite pass
+    (units are experiments) and, through the ``CampaignManifest``
+    subclass, a campaign (units are shards), in the layout
+    :mod:`repro.storage.journal` describes. ``run.json`` is the
+    journal's first write and pins exactly which run the directory
+    belongs to; markers are written atomically as each unit completes,
+    so after a crash or SIGKILL the directory holds precisely the
+    finished prefix of the run. :meth:`resume` refuses a directory of
+    the other kind or journaling a *different* run — silently mixing
+    them would corrupt the results.
 
-        RUN_DIR/
-          run.json            # scale + cache version manifest (atomic)
-          results/<name>.pkl  # one envelope per completed experiment
-          failures/<name>.json  # forensic record of permanent failures
-
-    ``run.json`` pins exactly which run the directory belongs to; markers
-    are written atomically as each experiment completes, so after a crash
-    or SIGKILL the directory holds precisely the finished prefix of the
-    run. :meth:`resume` refuses a directory journaling a *different*
-    run — silently mixing scales would corrupt an ``AllResults``.
+    A subclass supplies its own constructor, :attr:`KIND`,
+    :attr:`SURFACE`, :meth:`identity` and :meth:`plan`; ``create`` and
+    ``resume`` pass their arguments after ``root`` to the constructor.
     """
 
-    MANIFEST = "run.json"
+    #: Manifest ``kind``; also the noun refusal messages use.
+    KIND = "run"
 
     #: :class:`DurableStore` funnel name — the fault-injection target
-    #: key (``fs:journal:...``); :class:`CampaignManifest` overrides it.
+    #: key (``fs:journal:...``); ``CampaignManifest`` overrides it.
     SURFACE = "journal"
 
     def __init__(self, root: Path, scale: ExperimentScale,
@@ -342,18 +274,27 @@ class RunJournal:
         # not land must surface as a typed error, never a silent gap.
         self._store = DurableStore(self.SURFACE, required=True)
 
+    def identity(self) -> dict:
+        """What pins the run besides its kind, version and plan."""
+        return {"scale": dataclasses.asdict(self.scale)}
+
+    def plan(self) -> Tuple[str, ...]:
+        """Every unit name the run may complete, in run order."""
+        from .parallel import experiment_names
+
+        return experiment_names()
+
     # -- construction ---------------------------------------------------
     @classmethod
-    def create(cls, root: Path, scale: ExperimentScale,
-               version: int) -> "RunJournal":
+    def create(cls, root: Path, *args: Any) -> "RunJournal":
         """Start journaling a fresh run into ``root``.
 
         Refuses a directory that already holds completed results — that
         is either a finished run (nothing to do) or an interrupted one
         the caller probably meant to ``--resume``.
         """
-        journal = cls(root, scale, version)
-        if journal.manifest_path.exists() and journal.completed_names():
+        journal = cls(root, *args)
+        if journal.completed_names():
             raise JournalError(
                 f"{journal.root} already contains completed results; "
                 "resume it (--resume) or choose a fresh --run-dir")
@@ -361,43 +302,42 @@ class RunJournal:
         return journal
 
     @classmethod
-    def resume(cls, root: Path, scale: ExperimentScale,
-               version: int) -> "RunJournal":
-        """Open ``root`` for (re-)running ``scale``.
+    def resume(cls, root: Path, *args: Any) -> "RunJournal":
+        """Open ``root`` for (re-)running the same run.
 
         A missing manifest starts a fresh journal (``--resume`` is safe
-        on the very first run); an existing one must match the requested
-        scale and cache version exactly.
+        on the very first run); an existing one must be of this kind and
+        match the requested version, plan and identity exactly.
         """
-        journal = cls(root, scale, version)
+        journal = cls(root, *args)
         if not journal.manifest_path.exists():
-            journal._write_manifest()
-            return journal
-        try:
-            existing = json.loads(journal.manifest_path.read_text())
-        except (OSError, ValueError) as exc:
+            return cls.create(root, *args)
+        existing = read_manifest(journal.root)
+        if existing["kind"] != cls.KIND:
             raise JournalError(
-                f"unreadable journal manifest {journal.manifest_path}: "
-                f"{exc}") from exc
+                f"{journal.root} journals a {existing['kind']}, not a "
+                f"{cls.KIND}; choose a fresh --run-dir")
         if existing != journal._manifest():
             raise JournalError(
-                f"{journal.root} journals a different run (scale or cache "
-                "version mismatch); choose a fresh --run-dir")
+                f"{journal.root} journals a different {cls.KIND} "
+                "(version, plan or identity mismatch); choose a fresh "
+                "--run-dir")
         journal.sweep_orphans()
         return journal
 
     # -- manifest -------------------------------------------------------
     @property
     def manifest_path(self) -> Path:
-        return self.root / self.MANIFEST
+        return self.root / MANIFEST_NAME
 
     def _manifest(self) -> dict:
         # Round-trip through JSON so the equality check against a parsed
         # manifest compares like with like (tuples become lists, etc.).
         return json.loads(json.dumps({
-            "journal_format": 1,
-            "cache_version": self.version,
-            "scale": dataclasses.asdict(self.scale),
+            "kind": self.KIND,
+            "version": self.version,
+            "plan": list(self.plan()),
+            "identity": self.identity(),
         }))
 
     def _write_manifest(self) -> None:
@@ -481,7 +421,8 @@ _DEFAULT_HANG_SECONDS = 5.0
 class PoisonedResult:
     """Sentinel a ``poison`` fault point returns in place of a result.
 
-    Pickles fine — the *supervisor* must be the layer that rejects it,
+    Pickles fine and looks like any payload to the work's caller; the
+    poison check in :func:`run_task` is the one place that rejects it,
     which is exactly what the chaos tests assert.
     """
 
@@ -533,14 +474,12 @@ def chaos_action(name: str, attempt: int) -> Optional[str]:
 def chaos_fire(name: str, attempt: int) -> Optional[str]:
     """Act on the fault point armed for ``(name, attempt)``, if any.
 
-    The shared worker-entry gate: ``crash`` raises :class:`ChaosCrash`,
-    ``kill`` hard-exits the process with status 86 (simulating OOM-kill /
-    segfault — in a pool this breaks the executor, serially it kills the
-    whole run, which is exactly what the journal/resume tests need),
-    ``hang`` sleeps :func:`chaos_hang_seconds` then falls through. The
-    caller only has to handle the returned ``"poison"`` (return a
-    :class:`PoisonedResult` in place of its payload) since what a
-    plausible-but-wrong result looks like is payload-specific.
+    ``crash`` raises :class:`ChaosCrash`, ``kill`` hard-exits the
+    process with status 86 (simulating OOM-kill / segfault — in a pool
+    this breaks the executor, serially it kills the whole run, which is
+    exactly what the journal/resume tests need), ``hang`` sleeps
+    :func:`chaos_hang_seconds` then falls through. A returned
+    ``"poison"`` is :func:`run_task`'s to act on.
     """
     action = chaos_action(name, attempt)
     if action == "crash":
@@ -584,9 +523,9 @@ class SupervisedTask:
     """One unit of supervised work: a picklable function plus arguments.
 
     ``fn`` must be module-level (it crosses the process boundary on the
-    pool path) and is called as ``fn(*args, attempt)`` — the 1-based
-    retry number is appended positionally so chaos fault points can key
-    on it while the work's own seed derivation never sees it.
+    pool path) and is called as ``fn(*args)`` through :func:`run_task`.
+    The retry number never reaches it, so the work's own seed derivation
+    cannot see which attempt it is.
     """
 
     #: Stable identity: retry scheduling, chaos targeting, failure records.
@@ -594,8 +533,26 @@ class SupervisedTask:
     fn: Callable
     args: Tuple[Any, ...] = ()
 
-    def run(self, attempt: int) -> Any:
-        return self.fn(*self.args, attempt)
+
+def run_task(task: SupervisedTask, attempt: int) -> Any:
+    """Run one attempt of ``task``: the chaos gate, the work, the check.
+
+    The one trampoline every supervised call goes through — serially,
+    in a pool worker, and from the feasibility service — so the fault
+    point armed for ``(task.name, attempt)`` fires here and a poisoned
+    payload is rejected here, before it can count as a result. The
+    rejection is a :class:`ResultIntegrityError`, recorded as a
+    ``"poisoned"`` failure.
+    """
+    if chaos_fire(task.name, attempt) == "poison":
+        value = PoisonedResult(name=task.name, attempt=attempt)
+    else:
+        value = task.fn(*task.args)
+    if isinstance(value, PoisonedResult):
+        raise ResultIntegrityError(
+            f"worker returned a poisoned result for {value.name!r} "
+            f"(attempt {value.attempt})")
+    return value
 
 
 class Supervisor:
@@ -639,8 +596,6 @@ class Supervisor:
 SuccessCallback = Callable[[SupervisedTask, Any, int, float], None]
 #: ``on_failure(failure)`` for one permanently failed task.
 FailureCallback = Callable[[ExperimentFailure], None]
-#: ``check(value)`` raises to reject a payload before it counts as done.
-CheckCallback = Callable[[Any], None]
 
 
 def run_supervised(
@@ -650,7 +605,6 @@ def run_supervised(
     jobs: int = 1,
     on_success: SuccessCallback,
     on_failure: FailureCallback,
-    check: Optional[CheckCallback] = None,
 ) -> None:
     """Run every task under ``supervisor``'s policy; report via callbacks.
 
@@ -664,10 +618,9 @@ def run_supervised(
     bookkeeping on ``task.name``, never on callback order.
     """
     if jobs == 1 or len(tasks) <= 1:
-        _run_serial_tasks(tasks, supervisor, on_success, on_failure, check)
+        _run_serial_tasks(tasks, supervisor, on_success, on_failure)
     else:
-        _run_pool_tasks(tasks, supervisor, jobs, on_success, on_failure,
-                        check)
+        _run_pool_tasks(tasks, supervisor, jobs, on_success, on_failure)
 
 
 def _run_serial_tasks(
@@ -675,7 +628,6 @@ def _run_serial_tasks(
     supervisor: Supervisor,
     on_success: SuccessCallback,
     on_failure: FailureCallback,
-    check: Optional[CheckCallback],
 ) -> None:
     """In-process reference path, one supervised task at a time.
 
@@ -691,9 +643,7 @@ def _run_serial_tasks(
         while True:
             start = time.perf_counter()
             try:
-                value = task.run(attempt)
-                if check is not None:
-                    check(value)
+                value = run_task(task, attempt)
                 elapsed = time.perf_counter() - start
                 if deadline is not None and elapsed > deadline:
                     raise DeadlineExceeded(
@@ -725,24 +675,36 @@ def _sleep(seconds: float) -> None:
         time.sleep(seconds)
 
 
-def _terminate_pool(pool: ProcessPoolExecutor) -> None:
-    """Shut a pool down without waiting; best-effort kill its workers.
+#: Seconds to wait for a terminated worker, or for the pool's manager
+#: thread, before escalating (a kill for a worker) or giving up.
+_REAP_SECONDS = 5.0
 
-    Used when workers are known-hung (deadline overruns) or the pool is
-    already broken — waiting would block on exactly the processes we are
-    trying to get rid of. Touching ``_processes`` is unsupported API, so
-    every step is defensive.
+
+def _terminate_pool(pool: ProcessPoolExecutor) -> None:
+    """Shut a pool down without waiting on its work, then reap it.
+
+    Used when workers are known-hung (deadline overruns), the pool is
+    already broken, or the work is done — waiting for queued work would
+    block on exactly the processes we are trying to get rid of. The
+    workers and the manager thread are taken before ``shutdown`` drops
+    the pool's references to them; each worker is terminated and joined
+    (bounded wait, then kill), then the manager thread is joined, so no
+    worker, and none of the pool's semaphores, outlives this call.
+    ``_processes`` and ``_executor_manager_thread`` are unsupported
+    API, hence the ``getattr`` defaults.
     """
+    processes = list((getattr(pool, "_processes", None) or {}).values())
+    manager = getattr(pool, "_executor_manager_thread", None)
     pool.shutdown(wait=False, cancel_futures=True)
-    try:
-        processes = list((pool._processes or {}).values())
-    except Exception:
-        processes = []
     for process in processes:
-        try:
-            process.terminate()
-        except Exception:
-            pass
+        process.terminate()
+    for process in processes:
+        process.join(_REAP_SECONDS)
+        if process.is_alive():
+            process.kill()
+            process.join(_REAP_SECONDS)
+    if manager is not None:
+        manager.join(_REAP_SECONDS)
 
 
 def _run_pool_tasks(
@@ -751,7 +713,6 @@ def _run_pool_tasks(
     jobs: int,
     on_success: SuccessCallback,
     on_failure: FailureCallback,
-    check: Optional[CheckCallback],
 ) -> None:
     """Fan out over a process pool, surviving crashes and hangs.
 
@@ -821,7 +782,7 @@ def _run_pool_tasks(
                     continue
                 task = by_name[name]
                 try:
-                    future = pool.submit(task.fn, *task.args, attempt)
+                    future = pool.submit(run_task, task, attempt)
                 except BrokenProcessPool as exc:
                     on_broken_pool(None, exc)
                     delayed.append((now, name, attempt))
@@ -852,8 +813,6 @@ def _run_pool_tasks(
                     continue
                 try:
                     value = future.result()
-                    if check is not None:
-                        check(value)
                     on_success(by_name[flight.name], value, flight.attempt,
                                time.monotonic() - flight.started)
                 except BrokenProcessPool as exc:

@@ -1,33 +1,27 @@
 """Content-addressed result cache for feasibility queries.
 
-The same checksummed-envelope idiom as the experiment
-:class:`~repro.experiments.parallel.ResultCache`, keyed by the query's
-content hash instead of ``(name, scale)``. Disk I/O routes through a
-``query-cache`` :class:`~repro.storage.store.DurableStore` — the cache
-is an optional-durability surface, so an injected or real write failure
-degrades to a counted miss (the entry is kept dirty in memory and
-retried by :meth:`flush`, which the graceful-drain path calls), and
-corrupt, truncated or stale-version bytes degrade to a miss counted on
-both the runner-side ``cache_integrity_rejects_total`` convention and
-the serve-local :data:`SERVE_CACHE_REJECTS_METRIC`. A memory layer
-fronts the disk so a warm hit never re-reads or re-validates bytes;
-with no directory configured the cache is memory-only and dies with the
-service.
+A key derivation over :class:`~repro.storage.envelope.EnvelopeCache`,
+the cache the experiment :class:`~repro.experiments.parallel.ResultCache`
+also derives from, keyed by the query's content hash instead of
+``(name, scale)``. Disk I/O routes through a ``query-cache``
+:class:`~repro.storage.store.DurableStore` — an optional-durability
+surface, so an injected or real write failure degrades to a counted
+miss (the entry is kept dirty in memory and retried by ``flush``, which
+the graceful-drain path calls), and corrupt, truncated or stale-version
+bytes degrade to a miss counted on both the runner-side
+``cache_integrity_rejects_total`` convention and the serve-local
+:data:`SERVE_CACHE_REJECTS_METRIC`. A memory layer fronts the disk so a
+warm hit never re-reads or re-validates bytes; with no directory
+configured the cache is memory-only and dies with the service.
 """
 
 from __future__ import annotations
 
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
-from ..experiments.resilience import (
-    CACHE_REJECTS_METRIC,
-    CacheIntegrityError,
-    decode_envelope,
-    encode_envelope,
-)
-from ..storage.store import DurableStore
-from .schema import FeasibilityReport
+from ..experiments.resilience import CACHE_REJECTS_METRIC
+from ..storage.envelope import EnvelopeCache
 
 __all__ = ["SERVE_CACHE_REJECTS_METRIC", "SERVE_CACHE_VERSION", "QueryCache"]
 
@@ -40,91 +34,12 @@ SERVE_CACHE_VERSION = 1
 SERVE_CACHE_REJECTS_METRIC = "serve_cache_integrity_rejects_total"
 
 
-class QueryCache:
-    """Envelope-per-key store of :class:`FeasibilityReport` results."""
+class QueryCache(EnvelopeCache):
+    """``query-<content hash>.pkl`` store of :class:`FeasibilityReport`."""
 
     def __init__(self, directory: Optional[Path] = None,
                  registry: object = None) -> None:
-        self.directory = Path(directory) if directory is not None else None
-        self._registry = registry
-        self._store = DurableStore("query-cache", required=False,
-                                   registry=registry)
-        self._memory: Dict[str, FeasibilityReport] = {}
-        #: Reports whose disk write failed; flushed on drain.
-        self._dirty: Dict[str, FeasibilityReport] = {}
-        #: Entries rejected by envelope validation since construction.
-        self.integrity_rejects = 0
-
-    def path_for(self, key: str) -> Path:
-        if self.directory is None:
-            raise ValueError("memory-only cache has no paths")
-        return self.directory / f"query-{key}.pkl"
-
-    def _count(self, name: str) -> None:
-        registry = self._registry
-        if registry is None:
-            from ..obs.context import current_metrics
-
-            registry = current_metrics()
-        if registry is not None:
-            registry.counter(name).inc()
-
-    def _note_reject(self) -> None:
-        self.integrity_rejects += 1
-        self._count(CACHE_REJECTS_METRIC)
-        self._count(SERVE_CACHE_REJECTS_METRIC)
-
-    @property
-    def dirty_entries(self) -> int:
-        """Reports held only in memory after a failed disk write."""
-        return len(self._dirty)
-
-    def load(self, key: str) -> Optional[FeasibilityReport]:
-        hit = self._memory.get(key)
-        if hit is not None:
-            return hit
-        if self.directory is None:
-            return None
-        data = self._store.read_bytes(self.path_for(key))
-        if data is None:
-            return None
-        try:
-            report = decode_envelope(SERVE_CACHE_VERSION, data)
-        except CacheIntegrityError:
-            self._note_reject()
-            return None
-        self._memory[key] = report
-        return report
-
-    def store(self, key: str, report: FeasibilityReport) -> bool:
-        """Remember ``report``; ``False`` iff the disk write degraded
-        (the report still serves from memory and stays flush-pending)."""
-        self._memory[key] = report
-        if self.directory is None:
-            return True
-        if self._store.write_bytes(
-                self.path_for(key),
-                encode_envelope(SERVE_CACHE_VERSION, report)):
-            self._dirty.pop(key, None)
-            return True
-        self._dirty[key] = report
-        return False
-
-    def flush(self) -> int:
-        """Retry every dirty entry's disk write; returns writes landed.
-
-        The graceful-drain path calls this so a transient storage fault
-        during serving does not cost the persisted answer at shutdown.
-        """
-        if self.directory is None:
-            self._dirty.clear()
-            return 0
-        written = 0
-        for key in sorted(self._dirty):
-            report = self._dirty[key]
-            if self._store.write_bytes(
-                    self.path_for(key),
-                    encode_envelope(SERVE_CACHE_VERSION, report)):
-                del self._dirty[key]
-                written += 1
-        return written
+        super().__init__(
+            directory, surface="query-cache", version=SERVE_CACHE_VERSION,
+            reject_metrics=(CACHE_REJECTS_METRIC, SERVE_CACHE_REJECTS_METRIC),
+            prefix="query-", registry=registry)

@@ -30,7 +30,6 @@ from ..experiments.engine import (
     scoped_executor,
 )
 from ..experiments.parallel import reset_id_allocators
-from ..experiments.resilience import PoisonedResult, chaos_fire
 from ..sim.rng import SeededRng
 from ..stack import AndroidStack
 from ..systemui.outcomes import NotificationOutcome
@@ -49,8 +48,9 @@ __all__ = ["execute_query", "execute_query_job"]
 #: scenario library so outcomes classify identically.
 _SETTLE_MS = 400.0
 
-#: Chaos fault-point name for the worker entry (``REPRO_CHAOS``
-#: ``"serve-query:<attempt>:<mode>"`` targets every query).
+#: Supervised-task name of every query job, hence its chaos fault point
+#: (``REPRO_CHAOS`` ``"serve-query:<attempt>:<mode>"`` targets every
+#: query).
 CHAOS_POINT = "serve-query"
 
 
@@ -234,18 +234,15 @@ def _execute(query: FeasibilityQuery,
 _WORKER_EXECUTOR: Optional[TrialExecutor] = None
 
 
-def execute_query_job(query: FeasibilityQuery, attempt: int = 1):
-    """Process-pool entry point: warm-executor execution plus chaos gate.
+def execute_query_job(query: FeasibilityQuery) -> FeasibilityReport:
+    """Process-pool entry point: execution on the worker's warm executor.
 
-    ``attempt`` numbers the supervision retry and is consulted *only* by
-    the chaos harness — seed derivation never sees it, so a
-    crash-then-retry answer is bit-identical to a clean one. Returns the
-    report, or a :class:`PoisonedResult` under a ``poison`` fault point
-    (the supervisor, not the worker, must reject it).
+    The service calls it as the :data:`CHAOS_POINT` task through
+    :func:`~repro.experiments.resilience.run_task`, which owns the chaos
+    gate and the poison check; the retry number never reaches it, so a
+    crash-then-retry answer is bit-identical to a clean one.
     """
     global _WORKER_EXECUTOR
-    if chaos_fire(CHAOS_POINT, attempt) == "poison":
-        return PoisonedResult(name=CHAOS_POINT, attempt=attempt)
     if _WORKER_EXECUTOR is None:
         _WORKER_EXECUTOR = TrialExecutor()
     return execute_query(query, executor=_WORKER_EXECUTOR)

@@ -26,7 +26,9 @@ shed requests admit one half-open probe, and the probe's outcome closes
 or re-opens it. :meth:`FeasibilityService.drain` is the graceful-SIGTERM
 half: stop accepting, finish in-flight jobs, flush the disk cache.
 
-Execution is supervised with the PR-5 machinery: a
+Execution is supervised with the runners' machinery: every job runs
+through :func:`~repro.experiments.resilience.run_task` (the chaos gate
+and poison check), a
 :class:`~repro.experiments.resilience.RunPolicy` governs retries with
 reproducible backoff and per-job deadlines; a crashed worker (or the
 whole pool breaking) costs only that job's attempt — the pool is
@@ -51,11 +53,11 @@ from typing import Dict, List, Optional
 from ..experiments.resilience import (
     DEFAULT_POLICY,
     DeadlineExceeded,
-    PoisonedResult,
-    ResultIntegrityError,
     RunPolicy,
+    SupervisedTask,
     _terminate_pool,
     make_failure,
+    run_task,
 )
 from ..obs.metrics import MetricsRegistry
 from ..storage.store import FS_FAULTS_METRIC, FS_WRITE_ERRORS_METRIC
@@ -66,7 +68,7 @@ from .breaker import (
     ServiceOverloaded,
 )
 from .cache import SERVE_CACHE_REJECTS_METRIC, QueryCache
-from .execution import execute_query_job
+from .execution import CHAOS_POINT, execute_query_job
 from .schema import FeasibilityQuery, QueryProvenance, QueryResponse
 
 __all__ = ["ServeConfig", "FeasibilityService"]
@@ -272,6 +274,8 @@ class FeasibilityService:
         policy = self.config.policy
         loop = asyncio.get_running_loop()
         start = time.perf_counter()
+        task = SupervisedTask(name=CHAOS_POINT, fn=execute_query_job,
+                              args=(query,))
         last_exc: Optional[BaseException] = None
         attempt = 0
         for attempt in range(1, policy.max_attempts + 1):
@@ -284,17 +288,12 @@ class FeasibilityService:
             if pool is None:
                 raise RuntimeError("service closed mid-job")
             try:
-                call = loop.run_in_executor(
-                    pool, execute_query_job, query, attempt)
+                call = loop.run_in_executor(pool, run_task, task, attempt)
                 if policy.deadline_seconds is not None:
                     report = await asyncio.wait_for(
                         call, timeout=policy.deadline_seconds)
                 else:
                     report = await call
-                if isinstance(report, PoisonedResult):
-                    raise ResultIntegrityError(
-                        f"worker returned a poisoned result for query "
-                        f"{key[:12]} (attempt {report.attempt})")
                 wall_ms = (time.perf_counter() - start) * 1000.0
                 self.registry.histogram("serve_job_wall_ms").observe(wall_ms)
                 self.registry.counter("serve_executed_total").inc()

@@ -2,14 +2,24 @@
 
 The storage boundary is one of the two cross-layer seams the robustness
 pass hardens (the other is the network edge in :mod:`repro.serve`).
-:class:`DurableStore` is the write/read funnel all five persistent
-surfaces route through; :mod:`repro.storage.faults` injects
-deterministic ENOSPC/EIO/torn/rename/crash faults into it, either via
-``REPRO_CHAOS`` ``fs:`` entries or a seeded :class:`FsFaultPlan`; and
-:func:`fsck_run_dir` verifies a journaled run directory offline
-(``repro fsck``).
+:class:`DurableStore` is the write/read funnel every persistent surface
+routes through; :mod:`repro.storage.faults` injects deterministic
+ENOSPC/EIO/torn/rename/crash faults into it, either via ``REPRO_CHAOS``
+``fs:`` entries or a seeded :class:`FsFaultPlan`. On top of it sit the
+checksummed envelope and the one :class:`EnvelopeCache`
+(:mod:`repro.storage.envelope`), the run-directory manifest
+(:mod:`repro.storage.journal`), and :func:`fsck_run_dir`, which
+verifies a journaled run directory offline (``repro fsck``). Nothing
+here imports the experiment layer.
 """
 
+from .envelope import (
+    ENVELOPE_MAGIC,
+    CacheIntegrityError,
+    EnvelopeCache,
+    decode_envelope,
+    encode_envelope,
+)
 from .faults import (
     CHAOS_ENV,
     FS_MODES,
@@ -28,6 +38,7 @@ from .faults import (
     use_fs_plan,
 )
 from .fsck import FsckIssue, FsckReport, format_fsck, fsck_run_dir
+from .journal import MANIFEST_NAME, JournalError, read_manifest
 from .store import (
     FS_FAULTS_METRIC,
     FS_WRITE_ERRORS_METRIC,
@@ -38,7 +49,10 @@ from .store import (
 
 __all__ = [
     "CHAOS_ENV",
+    "CacheIntegrityError",
     "DurableStore",
+    "ENVELOPE_MAGIC",
+    "EnvelopeCache",
     "FS_FAULTS_METRIC",
     "FS_MODES",
     "FS_READ_MODES",
@@ -49,16 +63,21 @@ __all__ = [
     "FsckIssue",
     "FsckReport",
     "InjectedFsError",
+    "JournalError",
+    "MANIFEST_NAME",
     "SimulatedCrash",
     "atomic_write_bytes",
     "chaos_spec_text",
     "current_fs_plan",
+    "decode_envelope",
+    "encode_envelope",
     "fault_for",
     "format_fsck",
     "fs_chaos",
     "fsck_run_dir",
     "fsync_default",
     "parse_fs_entries",
+    "read_manifest",
     "reset_fs_fault_counters",
     "use_fs_plan",
 ]

@@ -14,7 +14,7 @@ entry shape the process-chaos parser ignores::
 counted per ``(surface, op)``) so a test can fail exactly the third
 journal write. ``REPRO_CHAOS=@/path/to/file`` reads the spec text from
 that file on every consult — a live run's faults can be cleared by
-truncating the file, which is how the CI leg lets a tripped breaker
+truncating the file, which is how the CI ``e2e`` job lets a tripped breaker
 recover.
 
 For statistical campaigns there is also :class:`FsFaultPlan` — the

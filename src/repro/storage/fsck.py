@@ -1,11 +1,12 @@
 """Offline integrity verification of a journaled run directory.
 
-``repro fsck --run-dir DIR`` for both journal flavors (``run.json``
-experiment runs and ``campaign.json`` campaigns): parse the manifest,
-re-validate every completed-result envelope checksum, parse every
-failure record, flag markers outside the journaled plan, and list (or
-sweep) crash-orphaned ``*.tmp`` files — all without executing anything,
-so a suspect directory can be vetted before ``--resume`` trusts it.
+``repro fsck --run-dir DIR`` for every journal kind (experiment runs
+and campaigns share one manifest layout, :mod:`repro.storage.journal`):
+parse the manifest, re-validate every completed-result envelope
+checksum at the manifest's version, parse every failure record, flag
+markers outside the manifest's plan, and list (or sweep) crash-orphaned
+``*.tmp`` files — all without executing anything, so a suspect
+directory can be vetted before ``--resume`` trusts it.
 """
 
 from __future__ import annotations
@@ -13,7 +14,10 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Dict, Optional, Set, Tuple, Union
+from typing import Tuple, Union
+
+from .envelope import CacheIntegrityError, decode_envelope
+from .journal import MANIFEST_NAME, JournalError, read_manifest
 
 __all__ = ["FsckIssue", "FsckReport", "fsck_run_dir", "format_fsck"]
 
@@ -31,7 +35,8 @@ class FsckReport:
     """Everything one :func:`fsck_run_dir` pass established."""
 
     root: str
-    manifest: str
+    #: The manifest's journal kind (``"run"`` or ``"campaign"``).
+    kind: str
     version: int
     results_checked: int
     failures_checked: int
@@ -45,64 +50,18 @@ class FsckReport:
         return not self.issues
 
 
-def _load_manifest(root: Path) -> Tuple[str, Dict]:
-    from ..experiments.resilience import JournalError
-
-    for name in ("campaign.json", "run.json"):
-        path = root / name
-        if not path.exists():
-            continue
-        try:
-            manifest = json.loads(path.read_text())
-        except (OSError, ValueError) as exc:
-            raise JournalError(
-                f"unreadable manifest {path}: {exc}") from exc
-        if not isinstance(manifest, dict):
-            raise JournalError(f"manifest {path} is not a JSON object")
-        return name, manifest
-    raise JournalError(
-        f"{root} holds neither campaign.json nor run.json; "
-        "not a run directory")
-
-
-def _expected_names(manifest_name: str,
-                    manifest: Dict) -> Optional[Set[str]]:
-    """Marker names the journaled plan allows, or ``None`` if unknown."""
-    if manifest_name == "campaign.json":
-        shards = manifest.get("shards")
-        if isinstance(shards, int) and shards > 0:
-            return {f"shard-{index:04d}" for index in range(shards)}
-        return None
-    try:
-        from ..experiments import EXPERIMENTS
-    except Exception:  # registry unimportable — skip the plan check
-        return None
-    return {spec.name for spec in EXPERIMENTS}
-
-
 def fsck_run_dir(root: Union[str, Path], *,
                  sweep: bool = False) -> FsckReport:
     """Verify ``root`` offline; raises ``JournalError`` when the
     directory is not usable as a journal at all (no/bad manifest)."""
-    from ..experiments.resilience import (
-        CacheIntegrityError,
-        JournalError,
-        decode_envelope,
-    )
-
     root = Path(root)
     if not root.is_dir():
         raise JournalError(f"{root} is not a run directory")
-    manifest_name, manifest = _load_manifest(root)
-    version_key = ("campaign_version" if manifest_name == "campaign.json"
-                   else "cache_version")
-    version = manifest.get(version_key)
-    if not isinstance(version, int):
-        raise JournalError(
-            f"{root / manifest_name} carries no usable {version_key}")
+    manifest = read_manifest(root)
+    version = manifest["version"]
+    expected = set(manifest["plan"])
 
     issues = []
-    expected = _expected_names(manifest_name, manifest)
     results_dir = root / "results"
     failures_dir = root / "failures"
 
@@ -121,7 +80,7 @@ def fsck_run_dir(root: Union[str, Path], *,
             except CacheIntegrityError as exc:
                 issues.append(FsckIssue(relative, str(exc)))
                 continue
-            if expected is not None and marker.stem not in expected:
+            if marker.stem not in expected:
                 issues.append(FsckIssue(
                     relative, "marker outside the journaled plan"))
 
@@ -155,7 +114,7 @@ def fsck_run_dir(root: Union[str, Path], *,
                 swept += 1
 
     return FsckReport(
-        root=str(root), manifest=manifest_name, version=int(version),
+        root=str(root), kind=manifest["kind"], version=version,
         results_checked=results_checked, failures_checked=failures_checked,
         issues=tuple(issues), orphans=tuple(orphans), swept=swept)
 
@@ -166,7 +125,8 @@ def format_fsck(report: FsckReport) -> str:
         1 for issue in report.issues if issue.path.endswith(".pkl"))
     lines = [
         f"fsck {report.root}",
-        f"  manifest : {report.manifest} (v{report.version})",
+        f"  manifest : {MANIFEST_NAME} ({report.kind}, "
+        f"v{report.version})",
         f"  results  : {report.results_checked} checked, "
         f"{bad_results} bad",
         f"  failures : {report.failures_checked} record(s)",

@@ -1,18 +1,21 @@
 """DurableStore: the one write/read funnel for every on-disk surface.
 
-Five surfaces persist state — the experiment :class:`ResultCache`, the
-:class:`RunJournal`, the :class:`CampaignManifest`, the serve-side
-:class:`QueryCache`, and the benchmark ledger. All of them route their
-bytes through a named :class:`DurableStore`, which is where the
-:mod:`repro.storage.faults` layer injects ENOSPC/EIO/torn/rename/crash
-faults and where the hardening policy lives:
+Three kinds of owner persist state: the one envelope cache
+(:class:`~repro.storage.envelope.EnvelopeCache`, surfaces ``cache`` for
+experiment results and ``query-cache`` for served reports), the one run
+journal (``RunJournal``, surfaces ``journal`` for experiment runs and
+``campaign`` for campaigns), and the benchmark ledger (``ledger``). All
+of them route their bytes through a named :class:`DurableStore`, which
+is where the :mod:`repro.storage.faults` layer injects
+ENOSPC/EIO/torn/rename/crash faults and where the hardening policy
+lives:
 
 * ``required=False`` (caches): a failed write degrades to a counted
   non-fatal miss (``write_bytes`` returns ``False``); a failed read is
   always just a miss.
-* ``required=True`` (journals/manifests): a failed write raises the
-  underlying :class:`OSError` for the owner to convert into its typed
-  refusal (``JournalError``) or a structured ``ExperimentFailure``.
+* ``required=True`` (journals): a failed write raises the underlying
+  :class:`OSError` for the owner to convert into its typed refusal
+  (``JournalError``) or a structured ``ExperimentFailure``.
 
 :func:`atomic_write_bytes` is the raw primitive (absorbed here from
 ``resilience.py``): temp file in the destination directory +
@@ -148,7 +151,9 @@ class DurableStore:
         self.read_errors = 0
         self.orphans_swept = 0
 
-    def _count(self, name: str) -> None:
+    def count(self, name: str) -> None:
+        """Increment counter ``name`` on this store's registry, or on the
+        ambient one when the store was built without one."""
         registry = self._registry
         if registry is None:
             from ..obs.context import current_metrics
@@ -161,7 +166,7 @@ class DurableStore:
         mode = fault_for(self.surface, op, plan=self.plan)
         if mode is not None:
             self.faults_injected += 1
-            self._count(FS_FAULTS_METRIC)
+            self.count(FS_FAULTS_METRIC)
         return mode
 
     def write_bytes(self, path: Union[str, Path], data: bytes) -> bool:
@@ -189,7 +194,7 @@ class DurableStore:
             return True
         except OSError:
             self.write_errors += 1
-            self._count(FS_WRITE_ERRORS_METRIC)
+            self.count(FS_WRITE_ERRORS_METRIC)
             if self.required:
                 raise
             return False

@@ -28,7 +28,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import QUICK, ScenarioMatrix
+from repro.experiments import QUICK, SMOKE, ScenarioMatrix, run_all
 from repro.experiments.campaign import (
     CampaignManifest,
     SHARDS_COMPLETED_METRIC,
@@ -42,8 +42,15 @@ from repro.experiments.campaign import (
     shard_matrix,
     shard_seed,
 )
-from repro.experiments.resilience import JournalError, RunPolicy, chaos
+from repro.experiments.parallel import CACHE_VERSION
+from repro.experiments.resilience import (
+    JournalError,
+    RunJournal,
+    RunPolicy,
+    chaos,
+)
 from repro.obs import MetricsRegistry, use_metrics
+from repro.storage import fsck_run_dir
 
 #: The reference fleet: every Android 9 evaluation device x 5 trials of
 #: the notification scenario = 65 cells, ~1 ms each under stack reuse.
@@ -301,6 +308,36 @@ class TestCampaignManifest:
                                    run_dir=run_dir, resume=True)
         assert registry.counter(SHARDS_COMPLETED_METRIC).value == 1
         assert resumed.aggregates_json() == fleet_reference.aggregates_json()
+
+    def test_experiment_resume_refuses_a_campaign_dir(self, tmp_path,
+                                                      fleet_reference):
+        run_dir = tmp_path / "run"
+        run_campaign(fleet_matrix(), shards=3, run_dir=run_dir)
+        before = sorted(p.relative_to(run_dir) for p in run_dir.rglob("*"))
+        with pytest.raises(JournalError, match="a campaign, not a run"):
+            RunJournal.resume(run_dir, SMOKE, CACHE_VERSION)
+        with pytest.raises(JournalError, match="a campaign, not a run"):
+            run_all(SMOKE, run_dir=run_dir, resume=True)
+        # The refusals wrote nothing: the campaign still checks clean
+        # and resumes to the same bytes.
+        assert sorted(p.relative_to(run_dir)
+                      for p in run_dir.rglob("*")) == before
+        assert fsck_run_dir(run_dir).ok
+        resumed = run_campaign(fleet_matrix(), shards=3, run_dir=run_dir,
+                               resume=True)
+        assert resumed.aggregates_json() == fleet_reference.aggregates_json()
+
+    def test_campaign_resume_refuses_an_experiment_run_dir(self, tmp_path):
+        journal = RunJournal.create(tmp_path, SMOKE, CACHE_VERSION)
+        journal.store("fig2", {"rows": ()})
+        with pytest.raises(JournalError, match="a run, not a campaign"):
+            CampaignManifest.resume(tmp_path, fleet_matrix(), 3)
+        with pytest.raises(JournalError, match="a run, not a campaign"):
+            run_campaign(fleet_matrix(), shards=3, run_dir=tmp_path,
+                         resume=True)
+        assert fsck_run_dir(tmp_path).ok
+        assert RunJournal.resume(tmp_path, SMOKE,
+                                 CACHE_VERSION).completed_names() == ("fig2",)
 
     def test_fingerprint_pins_cell_universe(self):
         assert matrix_fingerprint(fleet_matrix()) == \

@@ -44,13 +44,10 @@ from repro.experiments.resilience import (
     ChaosError,
     DEADLINE_METRIC,
     FAILURES_METRIC,
-    PoisonedResult,
     RETRIES_METRIC,
-    ResultIntegrityError,
     SupervisedTask,
     Supervisor,
     chaos_action,
-    chaos_fire,
     run_supervised,
 )
 
@@ -487,21 +484,14 @@ class TestCliFailureSemantics:
 # Generic supervised runner (the layer run_all and run_campaign share)
 # ---------------------------------------------------------------------------
 
-def _square_task(value, attempt):
+def _square_task(value):
     """Module-level so it pickles into pool workers.
 
-    Mirrors the shape of every real worker: chaos gate keyed on the task
-    name and attempt, poison returned (not raised) for the check
-    callback to reject.
+    Mirrors the shape of every real worker: plain work, no attempt
+    number — the chaos gate keyed on the task name and attempt, and the
+    poison check, belong to the runner's ``run_task`` trampoline.
     """
-    if chaos_fire(f"task-{value}", attempt) == "poison":
-        return PoisonedResult(name=f"task-{value}", attempt=attempt)
     return value * value
-
-
-def _reject_poison(payload):
-    if isinstance(payload, PoisonedResult):
-        raise ResultIntegrityError(f"poisoned payload for {payload.name}")
 
 
 class TestSupervisedRunner:
@@ -509,7 +499,7 @@ class TestSupervisedRunner:
     recovery guarantees the campaign engine inherits, pinned without a
     full matrix in the loop."""
 
-    def _run(self, policy, *, jobs, tasks=4, check=None):
+    def _run(self, policy, *, jobs, tasks=4):
         supervisor = Supervisor(policy, seed=1)
         results = {}
         run_supervised(
@@ -520,7 +510,6 @@ class TestSupervisedRunner:
             on_success=lambda task, value, attempt, seconds:
                 results.__setitem__(task.name, value),
             on_failure=lambda failure: None,
-            check=check,
         )
         return supervisor, results
 
@@ -546,8 +535,7 @@ class TestSupervisedRunner:
 
     def test_check_rejects_poisoned_payload(self):
         with chaos("task-3:*:poison"):
-            supervisor, results = self._run(
-                DEFAULT_POLICY, jobs=1, check=_reject_poison)
+            supervisor, results = self._run(DEFAULT_POLICY, jobs=1)
         assert set(supervisor.failures) == {"task-3"}
         assert supervisor.failures["task-3"].kind == "poisoned"
         assert results == {f"task-{i}": i * i for i in (0, 1, 2)}

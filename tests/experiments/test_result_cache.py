@@ -18,8 +18,8 @@ import pytest
 
 from repro.experiments import CacheIntegrityError, ResultCache, SMOKE
 from repro.experiments.parallel import CACHE_VERSION
-from repro.experiments.resilience import (
-    CACHE_REJECTS_METRIC,
+from repro.experiments.resilience import CACHE_REJECTS_METRIC
+from repro.storage import (
     ENVELOPE_MAGIC,
     atomic_write_bytes,
     decode_envelope,

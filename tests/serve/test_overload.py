@@ -131,7 +131,7 @@ class TestBreakerStateMachine:
 
 async def _scripted_service(monkeypatch, config, behavior):
     """A started service whose pool is a thread and whose job execution
-    is the scripted ``behavior(query, attempt)``."""
+    is the scripted ``behavior(query)``."""
     monkeypatch.setattr(service_module, "execute_query_job", behavior)
     service = FeasibilityService(config)
     await service.start()
@@ -146,7 +146,7 @@ class TestAdmissionShedding:
             self, monkeypatch):
         release = threading.Event()
 
-        def blocked(query, attempt):
+        def blocked(query):
             release.wait(timeout=30)
             return None  # treated as a failed job; irrelevant here
 
@@ -179,7 +179,7 @@ class TestAdmissionShedding:
         assert stats["serve_shed_total"] == 1.0
 
     def test_breaker_opens_after_failures_and_sheds(self, monkeypatch):
-        def failing(query, attempt):
+        def failing(query):
             raise RuntimeError("worker melted")
 
         async def body():
@@ -208,11 +208,11 @@ class TestAdmissionShedding:
     def test_half_open_probe_recovers_the_service(self, monkeypatch):
         healthy = threading.Event()
 
-        def flaky(query, attempt):
+        def flaky(query):
             if not healthy.is_set():
                 raise RuntimeError("still broken")
             from repro.serve.execution import execute_query_job
-            return execute_query_job(query, attempt)
+            return execute_query_job(query)
 
         async def body():
             service = await _scripted_service(
@@ -244,9 +244,9 @@ class TestAdmissionShedding:
         assert stats["serve_breaker_state"] == float(BreakerState.CLOSED)
 
     def test_draining_service_sheds_new_requests(self, monkeypatch):
-        def instant(query, attempt):
+        def instant(query):
             from repro.serve.execution import execute_query_job
-            return execute_query_job(query, attempt)
+            return execute_query_job(query)
 
         async def body():
             service = await _scripted_service(
@@ -269,9 +269,9 @@ class TestAdmissionShedding:
 
     def test_drain_finishes_queued_jobs_and_flushes_cache(
             self, monkeypatch, tmp_path):
-        def instant(query, attempt):
+        def instant(query):
             from repro.serve.execution import execute_query_job
-            return execute_query_job(query, attempt)
+            return execute_query_job(query)
 
         async def body():
             service = await _scripted_service(
@@ -299,7 +299,7 @@ class TestHttp503:
     def test_shed_request_gets_503_with_retry_after(self, monkeypatch):
         release = threading.Event()
 
-        def blocked(query, attempt):
+        def blocked(query):
             release.wait(timeout=30)
             raise RuntimeError("irrelevant")
 

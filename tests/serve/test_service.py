@@ -222,3 +222,23 @@ class TestLifecycle:
                 await service.start()
 
         asyncio.run(_with_service(body))
+
+    def test_close_reaps_pool_workers_and_manager_thread(self):
+        # A worker or manager thread outliving close() keeps the pool's
+        # semaphores alive past the service, which the resource tracker
+        # then reports as leaked at interpreter exit.
+        async def body():
+            service = FeasibilityService(ServeConfig(workers=2))
+            await service.start()
+            response = await service.submit(_tiny(seed=21))
+            pool = service._pool
+            workers = list(pool._processes.values())
+            manager = pool._executor_manager_thread
+            await service.close()
+            return response, workers, manager
+
+        response, workers, manager = asyncio.run(body())
+        assert response.ok
+        assert workers
+        assert [w for w in workers if w.is_alive()] == []
+        assert manager is not None and not manager.is_alive()

@@ -13,14 +13,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.experiments.resilience import (
-    CacheIntegrityError,
-    decode_envelope,
-    encode_envelope,
-)
 from repro.obs.metrics import MetricsRegistry
 from repro.storage import (
     CHAOS_ENV,
+    CacheIntegrityError,
     FS_FAULTS_METRIC,
     FS_MODES,
     FS_WRITE_ERRORS_METRIC,
@@ -28,6 +24,8 @@ from repro.storage import (
     InjectedFsError,
     SimulatedCrash,
     atomic_write_bytes,
+    decode_envelope,
+    encode_envelope,
     fs_chaos,
     fsync_default,
     reset_fs_fault_counters,

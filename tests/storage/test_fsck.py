@@ -1,21 +1,21 @@
 """Offline run-directory verification: ``fsck_run_dir`` and the CLI."""
 
-import json
-
 import pytest
 
 from repro.cli import main
 from repro.experiments import QUICK, experiment_names
+from repro.experiments.campaign import (
+    CampaignManifest,
+    matrix_from_spec,
+    shard_name,
+)
 from repro.experiments.parallel import CACHE_VERSION
 from repro.experiments.resilience import (
     JournalError,
     RunJournal,
-    encode_envelope,
     make_failure,
 )
 from repro.storage import format_fsck, fsck_run_dir
-
-CAMPAIGN_VERSION = 1
 
 
 def _journaled_run(tmp_path, names=("good",)):
@@ -26,20 +26,10 @@ def _journaled_run(tmp_path, names=("good",)):
 
 
 def _campaign_dir(tmp_path, shards=2, completed=(0,)):
-    (tmp_path / "campaign.json").write_text(json.dumps({
-        "campaign_format": 1,
-        "campaign_version": CAMPAIGN_VERSION,
-        "name": "fleet",
-        "scenario": "notification",
-        "cells": 4,
-        "shards": shards,
-        "matrix_fingerprint": "feedface",
-    }))
-    results = tmp_path / "results"
-    results.mkdir()
+    matrix = matrix_from_spec({"name": "fleet", "scenario": "notification"})
+    manifest = CampaignManifest.create(tmp_path, matrix, shards)
     for index in completed:
-        (results / f"shard-{index:04d}.pkl").write_bytes(
-            encode_envelope(CAMPAIGN_VERSION, {"shard": index}))
+        manifest.store(shard_name(index), {"shard": index})
     return tmp_path
 
 
@@ -49,7 +39,7 @@ class TestFsckRunDir:
         _journaled_run(tmp_path, names=(name,))
         report = fsck_run_dir(tmp_path)
         assert report.ok
-        assert report.manifest == "run.json"
+        assert report.kind == "run"
         assert report.results_checked == 1
         assert report.issues == () and report.orphans == ()
         assert format_fsck(report).endswith("clean\n")
@@ -81,7 +71,7 @@ class TestFsckRunDir:
     def test_clean_campaign_directory(self, tmp_path):
         _campaign_dir(tmp_path, shards=2, completed=(0, 1))
         report = fsck_run_dir(tmp_path)
-        assert report.ok and report.manifest == "campaign.json"
+        assert report.ok and report.kind == "campaign"
         assert report.results_checked == 2
 
     def test_bad_failure_record_is_flagged(self, tmp_path):
@@ -123,8 +113,9 @@ class TestFsckRunDir:
             fsck_run_dir(tmp_path)
 
     def test_manifest_without_version(self, tmp_path):
-        (tmp_path / "run.json").write_text('{"scale": {}}')
-        with pytest.raises(JournalError, match="cache_version"):
+        (tmp_path / "run.json").write_text(
+            '{"kind": "run", "plan": [], "identity": {"scale": {}}}')
+        with pytest.raises(JournalError, match="usable version"):
             fsck_run_dir(tmp_path)
 
 

@@ -102,7 +102,7 @@ class TestCampaignInterruptResume:
         clean = run_campaign(matrix, shards=5,
                              run_dir=tmp_path / "clean")
         run_dir = tmp_path / "run"
-        # Campaign write #1 is campaign.json; #3 is the second shard's
+        # Campaign write #1 is run.json; #3 is the second shard's
         # completion marker — the shard computes, the marker is lost.
         with fs_chaos("fs:campaign:write:enospc:3"):
             interrupted = run_campaign(matrix, shards=5, run_dir=run_dir)

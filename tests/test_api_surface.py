@@ -90,7 +90,6 @@ EXPERIMENTS_RUNNERS = [
     "run_flooding_trial",
     "run_gui_agent_trial",
     "run_notification_trial",
-    "run_one_isolated",
     "run_password_trial",
     "run_supervised",
     "run_trial",
