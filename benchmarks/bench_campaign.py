@@ -1,16 +1,19 @@
 """Campaign-engine fan-out overhead on a real fleet sweep.
 
-Not a paper figure — this pins the tentpole claim of the campaign layer
-(ISSUE 6): sharding a :class:`ScenarioMatrix` through the supervised
-runner and folding every trial into the streaming aggregates costs
-almost nothing over just executing the matrix. The comparison arm is the
-raw engine (one ``TrialExecutor.map`` over the same cells, no sharding,
-no supervision, no aggregation); the campaign arm runs the identical
-cells at ``shards=8, jobs=1`` so both arms do the same simulation work
-on one core and the difference is pure campaign machinery — shard
-bookkeeping, chaos gate, digest folding and the final merge. Gate:
-campaign wall <= 1.10x raw wall (best-of-N on both arms).
-"""
+Not a paper figure — this pins the claim of the campaign layer:
+sharding a :class:`ScenarioMatrix` through the supervised runner and
+folding every trial into the streaming aggregates costs almost nothing
+over just executing the matrix. The comparison arm is the raw engine
+(one ``TrialExecutor.map`` over the same cells, no sharding, no
+supervision, no aggregation); the campaign arm runs the identical cells
+at ``shards=8, jobs=1`` on one core. Both arms run the same trials, but
+the campaign arm also does work the raw arm does not: it enumerates its
+cells inside the timed region (the raw arm builds its cell list before
+the clock starts), and each shard boots its own stacks, so a device whose
+cells straddle a shard boundary is booted twice. The difference is that
+work plus the campaign machinery — shard bookkeeping, chaos gate, digest
+folding and the final merge. Gate: campaign wall <= 1.10x raw wall
+(best-of-N on both arms)."""
 
 from __future__ import annotations
 

@@ -37,6 +37,7 @@ class HandlerThread(SimProcess):
         self._tasks_run = 0
         self._queue: list = []  # (ready_time, task)
         self._pump_scheduled = False
+        self._pump_name = f"{name}:pump"
 
     @property
     def tasks_run(self) -> int:
@@ -75,7 +76,7 @@ class HandlerThread(SimProcess):
         ready_time, _ = self._queue[0]
         start = max(ready_time, self._busy_until, self.now)
         self._pump_scheduled = True
-        self.simulation.schedule_at(start, self._pump, name=f"{self.name}:pump")
+        self._scheduler.schedule_at(start, self._pump, name=self._pump_name)
 
     def _pump(self) -> None:
         self._pump_scheduled = False

@@ -144,7 +144,7 @@ class BinderRouter(SimProcess):
         """
         handler = self._lookup_handler(receiver, method)
         if latency_ms is None:
-            latency_ms = self._latency_model.sample(self.rng, method)
+            latency_ms = self._latency_model.sample(self._rng, method)
         if latency_ms < 0:
             raise ValueError(f"negative binder latency {latency_ms} for {method}")
         plan = self.simulation.faults
@@ -153,11 +153,12 @@ class BinderRouter(SimProcess):
             # including the explicit device-calibrated Tam/Trm paths —
             # a loaded Binder thread pool delays those the same way.
             latency_ms += plan.binder_delay()
+        now = self.now
         if fifo_key is not None:
             floor = self._fifo_last.get(fifo_key, 0.0)
-            delivery = max(self.now + latency_ms, floor + 1e-6)
+            delivery = max(now + latency_ms, floor + 1e-6)
             self._fifo_last[fifo_key] = delivery
-            latency_ms = delivery - self.now
+            latency_ms = delivery - now
         self._txn_counter += 1
         if self._m_sent is not None:
             self._m_sent.inc()
@@ -169,15 +170,15 @@ class BinderRouter(SimProcess):
             sender=sender,
             receiver=receiver,
             method=method,
-            sent_at=self.now,
-            delivered_at=self.now + latency_ms,
+            sent_at=now,
+            delivered_at=now + latency_ms,
             payload=dict(payload or {}),
         )
         self.trace("binder.transact", txn_id=txn.txn_id, sender=sender,
                    receiver=receiver, method=method, latency_ms=round(latency_ms, 4))
         for observer in self._observers:
             observer(txn)
-        dropped = bool(self.loss_probability) and self.rng.chance(self.loss_probability)
+        dropped = bool(self.loss_probability) and self._rng.chance(self.loss_probability)
         if not dropped and plan is not None and plan.drop_binder():
             dropped = True
         if dropped:

@@ -31,8 +31,11 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from bisect import bisect_left
+from collections.abc import Mapping
 from dataclasses import dataclass, field
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import lru_cache
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
 
 from ..obs.metrics import DEFAULT_BUCKETS, Histogram, MetricSample
 from ..serialization import SerializableMixin
@@ -80,6 +83,11 @@ class ExactSum:
         for x in other._partials:
             self.add(x)
 
+    def copy(self) -> "ExactSum":
+        clone = ExactSum()
+        clone._partials = list(self._partials)
+        return clone
+
     @property
     def value(self) -> float:
         """The correctly-rounded exact sum."""
@@ -116,6 +124,12 @@ class MetricAggregate(SerializableMixin):
     p99: float
 
 
+@lru_cache(maxsize=None)
+def _float_bounds(buckets: Tuple[float, ...]) -> Tuple[float, ...]:
+    """One shared float tuple per distinct bucket layout."""
+    return tuple(float(b) for b in buckets)
+
+
 class MetricDigest:
     """Streaming moments + quantile sketch for one metric series."""
 
@@ -128,7 +142,7 @@ class MetricDigest:
         self._sumsq = ExactSum()
         self._min = math.inf
         self._max = -math.inf
-        self._bounds: Tuple[float, ...] = tuple(float(b) for b in buckets)
+        self._bounds: Tuple[float, ...] = _float_bounds(tuple(buckets))
         self._bucket_counts: List[int] = [0] * (len(self._bounds) + 1)
 
     # ------------------------------------------------------------------
@@ -142,9 +156,7 @@ class MetricDigest:
         if value > self._max:
             self._max = value
         # Same bucketing rule as obs.Histogram.observe (bisect over the
-        # shared DEFAULT_BUCKETS bounds); inlined via the sketch below.
-        from bisect import bisect_left
-
+        # shared DEFAULT_BUCKETS bounds).
         self._bucket_counts[bisect_left(self._bounds, value)] += 1
 
     def merge(self, other: "MetricDigest") -> None:
@@ -157,6 +169,16 @@ class MetricDigest:
         self._max = max(self._max, other._max)
         for i, c in enumerate(other._bucket_counts):
             self._bucket_counts[i] += c
+
+    def copy(self) -> "MetricDigest":
+        clone = MetricDigest(buckets=self._bounds)
+        clone._count = self._count
+        clone._sum = self._sum.copy()
+        clone._sumsq = self._sumsq.copy()
+        clone._min = self._min
+        clone._max = self._max
+        clone._bucket_counts = list(self._bucket_counts)
+        return clone
 
     # ------------------------------------------------------------------
     @property
@@ -194,15 +216,17 @@ class MetricDigest:
 
     def snapshot(self, group: str, name: str) -> MetricAggregate:
         empty = self._count == 0
-        quantiles = [self.quantile(q) for q in (0.5, 0.95, 0.99)]
+        sketch = self._sketch()
+        quantiles = [sketch.quantile(q) for q in (0.5, 0.95, 0.99)]
+        variance = self.variance
         return MetricAggregate(
             group=group,
             name=name,
             count=self._count,
             sum=self._sum.value,
             mean=self.mean,
-            variance=self.variance,
-            stddev=math.sqrt(self.variance),
+            variance=variance,
+            stddev=math.sqrt(variance),
             min=0.0 if empty else self._min,
             max=0.0 if empty else self._max,
             p50=quantiles[0] if quantiles[0] is not None else 0.0,
@@ -250,7 +274,7 @@ class CampaignAggregate:
 
     def __init__(self, buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
         self._groups: Dict[str, Dict[str, MetricDigest]] = {}
-        self._buckets = tuple(float(b) for b in buckets)
+        self._buckets = _float_bounds(tuple(buckets))
 
     def observe(self, group: str, metrics: Mapping[str, float]) -> None:
         digests = self._groups.setdefault(group, {})
@@ -267,8 +291,7 @@ class CampaignAggregate:
                 if name in mine:
                     mine[name].merge(digest)
                 else:
-                    clone = MetricDigest.from_dict(digest.to_dict())
-                    mine[name] = clone
+                    mine[name] = digest.copy()
 
     @property
     def trials(self) -> int:
@@ -335,41 +358,57 @@ def default_trial_metrics(spec: Any, value: Any) -> Dict[str, float]:
     so it pickles into shard workers).
     """
     out: Dict[str, float] = {}
-
-    def put(name: str, raw: Any) -> None:
-        if isinstance(raw, bool):
-            out[name] = 1.0 if raw else 0.0
-        elif isinstance(raw, numbers.Real) and math.isfinite(float(raw)):
-            out[name] = float(raw)
-
     if isinstance(value, (bool, numbers.Real)):
-        put("value", value)
+        _put(out, "value", value)
         return out
     if isinstance(value, Mapping):
         for name, raw in value.items():
-            put(str(name), raw)
+            _put(out, str(name), raw)
         return out
     if isinstance(value, enum.Enum):
-        put("value", value.value)
+        _put(out, "value", value.value)
     # Numeric instance attributes (dataclass fields land in __dict__).
-    for name, raw in sorted(getattr(value, "__dict__", {}).items()):
+    state = getattr(value, "__dict__", {})
+    for name in sorted(state):
         if not name.startswith("_"):
-            put(name, raw)
-    # Numeric properties (derived statistics like capture_rate). Walk the
-    # MRO's class dicts rather than dir(): EnumMeta.__dir__ hides plain
-    # properties like NotificationOutcome.suppressed on older Pythons.
+            _put(out, name, state[name])
+    # Numeric properties (derived statistics like capture_rate).
+    for name, getter in _property_getters(type(value)):
+        try:
+            _put(out, name, getter(value))
+        except Exception:
+            continue
+    return out
+
+
+def _put(out: Dict[str, float], name: str, raw: Any) -> None:
+    """Store ``raw`` as a float series value if it is a finite number."""
+    if isinstance(raw, bool):
+        out[name] = 1.0 if raw else 0.0
+    elif isinstance(raw, numbers.Real) and math.isfinite(float(raw)):
+        out[name] = float(raw)
+
+
+@lru_cache(maxsize=None)
+def _property_getters(
+        klass: type) -> Tuple[Tuple[str, Callable[[Any], Any]], ...]:
+    """Public property getters of ``klass``, resolved once per type.
+
+    Walks the MRO's class dicts rather than ``dir()``: ``EnumMeta.__dir__``
+    hides plain properties like ``NotificationOutcome.suppressed`` on
+    older Pythons. A name defined nearer the front of the MRO shadows the
+    same name further back, whether or not it is a property.
+    """
+    getters = []
     seen = set()
-    for klass in type(value).__mro__:
-        for name, descriptor in sorted(vars(klass).items()):
+    for base in klass.__mro__:
+        for name, descriptor in sorted(vars(base).items()):
             if name.startswith("_") or name in seen:
                 continue
             seen.add(name)
             if isinstance(descriptor, property):
-                try:
-                    put(name, descriptor.fget(value))  # type: ignore[misc]
-                except Exception:
-                    continue
-    return out
+                getters.append((name, descriptor.fget))
+    return tuple(getters)
 
 
 @dataclass(frozen=True)

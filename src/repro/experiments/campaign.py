@@ -40,7 +40,6 @@ import json
 import os
 import time
 from dataclasses import dataclass, field
-from itertools import islice
 from pathlib import Path
 from typing import Any, Callable, Dict, Mapping, Optional, Tuple
 
@@ -112,8 +111,8 @@ class ShardSpec(SerializableMixin):
 
 def shard_seed(matrix: ScenarioMatrix, index: int, shards: int) -> int:
     """Pure-hash shard seed via the experiment-registry derivation."""
-    return matrix.scale.for_experiment(
-        f"{matrix.name}/{shard_name(index)}/{shards}").seed
+    return matrix.scale.derived_seed(
+        f"{matrix.name}/{shard_name(index)}/{shards}")
 
 
 def shard_matrix(matrix: ScenarioMatrix, shards: int) -> Tuple[ShardSpec, ...]:
@@ -203,7 +202,7 @@ def _run_shard(
     trials = 0
     start = time.perf_counter()
     with unit_scope(matrix.scale.faults, collect_metrics) as scope:
-        for spec in islice(matrix.cells(), shard.start, shard.stop):
+        for spec in matrix.cells(shard.start, shard.stop):
             value = scope.executor.run(spec)
             group = group_by(spec, value) if group_by is not None \
                 else DEFAULT_GROUP

@@ -60,10 +60,14 @@ class ExperimentScale:
         on-disk cache key, which is why the tuple must stay stable across
         releases.
         """
+        return self.with_seed(self.derived_seed(experiment_name))
+
+    def derived_seed(self, experiment_name: str) -> int:
+        """The seed :meth:`for_experiment` gives ``experiment_name``."""
         digest = hashlib.sha256(
             f"{self.name}:{self.seed}:{experiment_name}".encode("utf-8")
         ).digest()
-        return self.with_seed(int.from_bytes(digest[:8], "big"))
+        return int.from_bytes(digest[:8], "big")
 
 
 def resolve_jobs(jobs: Optional[int]) -> int:

@@ -31,6 +31,7 @@ from __future__ import annotations
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from itertools import islice, product
 from typing import (
     Any,
     Callable,
@@ -193,6 +194,12 @@ class ScenarioMatrix:
 
     # ------------------------------------------------------------------
     def resolved_devices(self) -> Tuple[DeviceProfile, ...]:
+        """Explicit devices, then every device of each listed version.
+
+        A device named in ``devices`` and also covered by ``versions``
+        appears once, at its first position: a duplicate would repeat
+        its cells under identical seeds and count one trial stream twice.
+        """
         devices = list(self.devices)
         groups = devices_by_version()
         for version in self.versions:
@@ -206,7 +213,10 @@ class ScenarioMatrix:
                 ) from None
         if not devices:
             devices = [reference_device()]
-        return tuple(devices)
+        unique: Dict[str, DeviceProfile] = {}
+        for device in devices:
+            unique.setdefault(device.key, device)
+        return tuple(unique.values())
 
     def resolved_faults(self) -> Tuple[str, ...]:
         return self.fault_profiles or (self.scale.faults,)
@@ -227,7 +237,7 @@ class ScenarioMatrix:
             # Only labeled cells extend the key: a matrix without behavior
             # axes derives byte-identical seeds to the pre-actor engine.
             cell += f"/attacker={attacker}/user={user}"
-        return self.scale.for_experiment(cell).seed
+        return self.scale.derived_seed(cell)
 
     def _attacker_axis(self) -> Tuple[Optional[str], ...]:
         return self.attackers or (None,)
@@ -235,29 +245,34 @@ class ScenarioMatrix:
     def _user_axis(self) -> Tuple[Optional[str], ...]:
         return self.users or (None,)
 
-    def cells(self) -> Iterator[TrialSpec]:
-        """Yield one :class:`TrialSpec` per cell, in deterministic order."""
-        for device in self.resolved_devices():
-            for config in self.configs:
-                for faults in self.resolved_faults():
-                    for attacker in self._attacker_axis():
-                        for user_label in self._user_axis():
-                            for trial in range(self.trials):
-                                params = dict(self.base_params)
-                                params.update(config)
-                                yield TrialSpec(
-                                    scenario=self.scenario,
-                                    seed=self.cell_seed(
-                                        device, config, faults, trial,
-                                        attacker=attacker, user=user_label),
-                                    profile=device,
-                                    alert_mode=self.alert_mode,
-                                    trace_enabled=self.trace_enabled,
-                                    faults=faults,
-                                    params=params,
-                                    attacker=attacker,
-                                    user=user_label,
-                                )
+    def cells(self, start: int = 0,
+              stop: Optional[int] = None) -> Iterator[TrialSpec]:
+        """Yield one :class:`TrialSpec` per cell, in deterministic order.
+
+        ``start``/``stop`` select the cells ``[start, stop)`` of that
+        order, as :func:`itertools.islice` would. Cells before ``start``
+        are skipped as bare axis tuples; a spec (and its seed) is built
+        for the selected cells alone, so a shard costs O(its own cells).
+        """
+        axes = product(self.resolved_devices(), self.configs,
+                       self.resolved_faults(), self._attacker_axis(),
+                       self._user_axis(), range(self.trials))
+        for device, config, faults, attacker, user_label, trial in islice(
+                axes, start, stop):
+            params = dict(self.base_params)
+            params.update(config)
+            yield TrialSpec(
+                scenario=self.scenario,
+                seed=self.cell_seed(device, config, faults, trial,
+                                    attacker=attacker, user=user_label),
+                profile=device,
+                alert_mode=self.alert_mode,
+                trace_enabled=self.trace_enabled,
+                faults=faults,
+                params=params,
+                attacker=attacker,
+                user=user_label,
+            )
 
     def __len__(self) -> int:
         return (len(self.resolved_devices()) * len(self.configs)

@@ -23,6 +23,12 @@ class SimProcess:
 
     def __init__(self, simulation: "Simulation", name: str) -> None:
         self._simulation = simulation
+        # The simulation keeps one clock, scheduler and trace log for
+        # life (reset rewinds each in place), so the hot paths below can
+        # skip the simulation hop.
+        self._clock = simulation.clock
+        self._scheduler = simulation.scheduler
+        self._trace_log = simulation.trace
         self._name = name
         self._rng = simulation.rng.child(name)
         simulation.register_process(self)
@@ -52,7 +58,7 @@ class SimProcess:
 
     @property
     def now(self) -> float:
-        return self._simulation.now
+        return self._clock.now
 
     @property
     def rng(self) -> SeededRng:
@@ -61,20 +67,20 @@ class SimProcess:
     def schedule(self, delay_ms: float, callback: Callback, name: str = "") -> EventHandle:
         """Schedule a callback relative to now, tagged with this process."""
         label = name or callback.__name__
-        return self._simulation.scheduler.schedule_after(
+        return self._scheduler.schedule_after(
             delay_ms, callback, f"{self._name}:{label}"
         )
 
     def trace(self, kind: str, **detail) -> None:
         """Record a trace event attributed to this process."""
-        log = self._simulation.trace
+        log = self._trace_log
         if not log._enabled and not log._subscribers:
             # Early out before even reading the clock: disabled-trace
             # sweeps pay one attribute test per happening instead of a
             # record construction. `TraceLog.record` repeats this check,
             # so behaviour is identical either way.
             return
-        log.record(self.now, self._name, kind, **detail)
+        log.record(self._clock.now, self._name, kind, **detail)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"{type(self).__name__}(name={self._name!r})"

@@ -46,6 +46,8 @@ class EventScheduler:
         self._pending = 0
         self._cancelled = 0
         self._perturb: Optional[TimePerturbation] = None
+        # Bound once: every queued event carries this as its cancel hook.
+        self._on_cancel = self._note_cancelled
         # Instruments are resolved once here; every hot-path guard below is
         # a single `is not None`. Metrics only *observe* (no clock, RNG or
         # heap interaction), so enabling them cannot perturb a run.
@@ -128,33 +130,42 @@ class EventScheduler:
 
     def schedule_at(self, time_ms: float, callback: Callback, name: str = "") -> EventHandle:
         """Schedule ``callback`` at an absolute simulated time."""
-        if time_ms < self._clock.now:
+        now = self._clock.now
+        if time_ms < now:
             raise SchedulingError(
-                f"cannot schedule {name!r} at {time_ms} (now={self._clock.now})"
+                f"cannot schedule {name!r} at {time_ms} (now={now})"
             )
+        return self._push(time_ms, now, callback, name)
+
+    def schedule_after(self, delay_ms: float, callback: Callback, name: str = "") -> EventHandle:
+        """Schedule ``callback`` after a relative delay from now."""
+        if delay_ms < 0:
+            raise SchedulingError(f"negative delay {delay_ms} for {name!r}")
+        now = self._clock.now
+        return self._push(now + delay_ms, now, callback, name)
+
+    def _push(self, time_ms: float, now: float, callback: Callback,
+              name: str) -> EventHandle:
+        """Queue an event at ``time_ms`` (>= ``now``, the current time)."""
+        time_ms = float(time_ms)
         if self._perturb is not None:
             # Faults may only delay: clamp so a buggy hook can never
             # schedule into the past or reorder an event before its
             # requested time.
-            time_ms = max(time_ms, self._perturb(float(time_ms), self._clock.now, name))
-        event = Event(float(time_ms), self._seq, callback, name)
-        event.on_cancel = self._note_cancelled
-        self._seq += 1
-        heapq.heappush(self._heap, (event.time, event.seq, event))
+            time_ms = float(max(time_ms, self._perturb(time_ms, now, name)))
+        seq = self._seq
+        event = Event(time_ms, seq, callback, name)
+        event.on_cancel = self._on_cancel
+        self._seq = seq + 1
+        heapq.heappush(self._heap, (time_ms, seq, event))
         self._pending += 1
         if self._m_delay is not None:
             self._m_scheduled.inc()
             # Dispatch latency in *simulated* time: how far ahead of "now"
             # the event lands after fault perturbation. Deterministic, so
             # the metric itself is reproducible run to run.
-            self._m_delay.observe(event.time - self._clock.now)
+            self._m_delay.observe(time_ms - now)
         return EventHandle(event)
-
-    def schedule_after(self, delay_ms: float, callback: Callback, name: str = "") -> EventHandle:
-        """Schedule ``callback`` after a relative delay from now."""
-        if delay_ms < 0:
-            raise SchedulingError(f"negative delay {delay_ms} for {name!r}")
-        return self.schedule_at(self._clock.now + delay_ms, callback, name)
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if drained."""

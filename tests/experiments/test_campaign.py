@@ -98,6 +98,24 @@ class TestShardMatrix:
         assert len(specs) == len(matrix)
         assert all(spec.cells == 1 for spec in specs)
 
+    def test_shard_derives_only_its_own_seeds(self, monkeypatch):
+        """A shard seeks to its range: it derives one seed per cell it
+        runs, not one per cell before it too."""
+        calls = []
+        cell_seed = ScenarioMatrix.cell_seed
+
+        def counting(matrix, *args, **kwargs):
+            calls.append(args)
+            return cell_seed(matrix, *args, **kwargs)
+
+        monkeypatch.setattr(ScenarioMatrix, "cell_seed", counting)
+        matrix = fleet_matrix()
+        for shard in shard_matrix(matrix, 8):
+            calls.clear()
+            outcome = _run_shard(matrix, shard, None, None)
+            assert outcome.trials == shard.cells
+            assert len(calls) == shard.cells, shard.name
+
     def test_zero_shards_rejected(self):
         with pytest.raises(ValueError, match="shards"):
             shard_matrix(fleet_matrix(), 0)

@@ -141,6 +141,45 @@ def test_unknown_version_error_lists_known_labels():
         matrix.resolved_devices()
 
 
+def test_devices_covered_by_versions_appear_once():
+    """Naming a device that ``versions`` also covers must not duplicate
+    its cells: a repeat would share seeds and count one stream twice."""
+    mi8 = device("mi8", "10")
+    matrix = ScenarioMatrix(name="x", scenario="notification", scale=QUICK,
+                            devices=(mi8,), versions=("10",))
+    keys = [d.key for d in matrix.resolved_devices()]
+    assert keys[0] == mi8.key
+    assert len(keys) == len(set(keys)) == 12
+    seeds = [spec.seed for spec in matrix.cells()]
+    assert len(seeds) == len(matrix) == 12
+    assert len(set(seeds)) == len(seeds)
+
+
+def _axes_matrix() -> ScenarioMatrix:
+    return ScenarioMatrix(
+        name="axes",
+        scenario="notification",
+        scale=QUICK,
+        versions=("11",),
+        configs=({"attacking_window_ms": 50.0},
+                 {"attacking_window_ms": 100.0}),
+        attackers=("draw-and-destroy", "notification-flooding"),
+        users=("stochastic-human", "gui-agent"),
+        trials=2,
+    )
+
+
+def test_ranged_cells_equal_the_slice_of_all_cells():
+    matrix = _axes_matrix()
+    everything = list(matrix.cells())
+    assert len(everything) == len(matrix) == 32
+    for start in range(len(everything) + 1):
+        for stop in range(start, len(everything) + 2):
+            assert list(matrix.cells(start, stop)) == \
+                everything[start:stop], (start, stop)
+    assert list(matrix.cells(5)) == everything[5:]
+
+
 def test_matrix_rejects_degenerate_axes():
     with pytest.raises(ValueError, match="trials"):
         ScenarioMatrix(name="m", scenario="notification", scale=QUICK,
