@@ -31,20 +31,15 @@ from pathlib import Path
 from typing import List, Optional
 
 from . import __version__
+from .actors import get_attacker
 from .analysis.sequence_diagram import (
     render_overlay_attack_figure,
     render_toast_attack_figure,
 )
-from .attacks.overlay_attack import (
-    DrawAndDestroyOverlayAttack,
-    OverlayAttackConfig,
-)
-from .attacks.toast_attack import DrawAndDestroyToastAttack, ToastAttackConfig
 from .devices import DEVICES, device
 from .stack import build_stack
 from .systemui import AlertMode
 from .windows.geometry import Point, Rect
-from .windows.permissions import Permission
 
 
 def _cmd_devices(args: argparse.Namespace) -> int:
@@ -73,18 +68,15 @@ def _cmd_attack(args: argparse.Namespace) -> int:
     )
     stack = build_stack(seed=args.seed, profile=profile,
                         alert_mode=AlertMode.ANALYTIC, faults=args.faults)
-    attack = DrawAndDestroyOverlayAttack(
-        stack, OverlayAttackConfig(attacking_window_ms=d)
-    )
-    stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
-    attack.start()
+    attacker = get_attacker("draw-and-destroy")
+    attack = attacker.launch(stack, attacking_window_ms=d)
     taps = 0
     while stack.now < args.duration:
         stack.run_for(300.0)
         stack.touch.tap(Point(540.0, 1200.0))
         taps += 1
     worst = stack.system_ui.worst_outcome()
-    attack.stop()
+    attacker.withdraw(attack)
     stack.run_for(500.0)
     worst = max(worst, stack.system_ui.worst_outcome())
     print(f"device            : {profile.key}")
@@ -107,31 +99,23 @@ def _cmd_diagram(args: argparse.Namespace) -> int:
     stack = build_stack(seed=args.seed, profile=profile,
                         alert_mode=AlertMode.ANALYTIC)
     if args.figure == "overlay":
-        attack = DrawAndDestroyOverlayAttack(
+        attacker = get_attacker("draw-and-destroy")
+        attack = attacker.launch(
             stack,
-            OverlayAttackConfig(
-                attacking_window_ms=profile.published_upper_bound_d - 10.0
-            ),
-        )
-        stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
-        attack.start()
+            attacking_window_ms=profile.published_upper_bound_d - 10.0)
         stack.run_for(args.duration)
-        attack.stop()
+        attacker.withdraw(attack)
         stack.run_for(200.0)
         print("Fig. 3 — draw-and-destroy overlay attack "
               f"(one cycle window, {profile.key}):")
         print(render_overlay_attack_figure(
             stack.simulation.trace, 100.0, args.duration))
     else:
-        toast_attack = DrawAndDestroyToastAttack(
-            stack,
-            ToastAttackConfig(rect=Rect(0, 1400, 1080, 2160),
-                              duration_ms=3500.0),
-            content_provider=lambda: "fake-keyboard",
-        )
-        toast_attack.start()
+        attacker = get_attacker("draw-and-destroy-toast")
+        attack = attacker.launch(stack, toast_rect=Rect(0, 1400, 1080, 2160),
+                                 toast_duration_ms=3500.0)
         stack.run_for(args.duration)
-        toast_attack.stop()
+        attacker.withdraw(attack)
         stack.run_for(4500.0)
         print(f"Fig. 5 — draw-and-destroy toast attack ({profile.key}):")
         print(render_toast_attack_figure(

@@ -397,7 +397,9 @@ def _property_getters(
     Walks the MRO's class dicts rather than ``dir()``: ``EnumMeta.__dir__``
     hides plain properties like ``NotificationOutcome.suppressed`` on
     older Pythons. A name defined nearer the front of the MRO shadows the
-    same name further back, whether or not it is a property.
+    same name further back, whether or not it is a property. Getters
+    annotated ``-> str`` (``NotificationOutcome.label``) are skipped:
+    :func:`_put` would discard their value after paying for the call.
     """
     getters = []
     seen = set()
@@ -406,7 +408,10 @@ def _property_getters(
             if name.startswith("_") or name in seen:
                 continue
             seen.add(name)
-            if isinstance(descriptor, property):
+            if not isinstance(descriptor, property):
+                continue
+            annotations = getattr(descriptor.fget, "__annotations__", {})
+            if annotations.get("return") not in (str, "str"):
                 getters.append((name, descriptor.fget))
     return tuple(getters)
 

@@ -16,8 +16,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from ..attacks.overlay_attack import DrawAndDestroyOverlayAttack, OverlayAttackConfig
-from ..defenses.benign import BenignOverlayApp
+from ..actors import get_attacker
 from ..defenses.enhanced_notification import (
     DEFAULT_HIDE_DELAY_MS,
     EnhancedNotificationDefense,
@@ -27,7 +26,6 @@ from ..devices.profiles import DeviceProfile
 from ..devices.registry import reference_device
 from ..stack import AndroidStack
 from ..systemui.outcomes import NotificationOutcome
-from ..windows.permissions import Permission
 from .config import ExperimentScale, QUICK
 from .engine import TrialSpec, run_trial, scenario, scoped_executor
 from .toast_continuity import ToastContinuityResult, _run_toast_continuity
@@ -76,14 +74,11 @@ def ipc_defense_attack_scenario(
     """One attack run with the detector installed; also reports the mean
     monitor+analyzer overhead per inspected transaction (or ``None``)."""
     detector = IpcDetector(stack.router, stack.system_server, rule=rule)
-    attack = DrawAndDestroyOverlayAttack(
-        stack, OverlayAttackConfig(attacking_window_ms=attacking_window_ms)
-    )
-    stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
+    attacker = get_attacker("draw-and-destroy")
     start_time = stack.now
-    attack.start()
+    attack = attacker.launch(stack, attacking_window_ms=attacking_window_ms)
     stack.run_for(attack_ms)
-    attack.stop()
+    attacker.withdraw(attack)
     stack.run_for(500.0)
     detection = next(
         (det for det in detector.detections if det.caller == attack.package), None
@@ -105,28 +100,9 @@ def ipc_defense_attack_scenario(
     return trial, overhead
 
 
-@scenario("ipc-defense-benign")
-def ipc_defense_benign_scenario(
-    stack: AndroidStack,
-    benign_observation_ms: float = 240_000.0,
-    rule: Optional[DetectionRule] = None,
-) -> Tuple[int, int]:
-    """Benign floating-widget control run; returns (apps, false positives)."""
-    detector = IpcDetector(stack.router, stack.system_server, rule=rule)
-    benign_apps = []
-    for i in range(3):
-        app = BenignOverlayApp(
-            stack, package=f"com.benign.app{i}", dwell_ms=20_000.0, pause_ms=6_000.0
-        )
-        stack.permissions.grant(app.package, Permission.SYSTEM_ALERT_WINDOW)
-        app.start()
-        benign_apps.append(app)
-    stack.run_for(benign_observation_ms)
-    for app in benign_apps:
-        app.stop()
-    stack.run_for(500.0)
-    false_positives = sum(1 for app in benign_apps if detector.is_flagged(app.package))
-    return len(benign_apps), false_positives
+#: Floating-widget apps of the Section VII-A false-positive control.
+_IPC_BENIGN_APPS = tuple(
+    (f"com.benign.app{i}", 20_000.0, 6_000.0) for i in range(3))
 
 
 def _run_ipc_defense(
@@ -151,11 +127,12 @@ def _run_ipc_defense(
             for index, d in enumerate(durations)
         ])
         # Benign control: floating-widget apps must not be flagged.
-        benign_observed, false_positives = executor.run(TrialSpec(
-            scenario="ipc-defense-benign",
+        false_positives, benign_observed = executor.run(TrialSpec(
+            scenario="benign-overlays",
             seed=scale.seed + 991,
             profile=profile,
-            params={"benign_observation_ms": benign_observation_ms, "rule": rule},
+            params={"apps": _IPC_BENIGN_APPS,
+                    "observation_ms": benign_observation_ms, "rule": rule},
         ))
     trials = [trial for trial, _ in attack_runs]
     overhead_samples = [overhead for _, overhead in attack_runs
@@ -214,14 +191,11 @@ def defended_notification_scenario(
         defense = EnhancedNotificationDefense(
             stack.system_server, hide_delay_ms=hide_delay_ms
         ).install()
-    attack = DrawAndDestroyOverlayAttack(
-        stack, OverlayAttackConfig(attacking_window_ms=attacking_window_ms)
-    )
-    stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
-    attack.start()
+    attacker = get_attacker("draw-and-destroy")
+    attack = attacker.launch(stack, attacking_window_ms=attacking_window_ms)
     stack.run_for(attack_ms)
     worst = stack.system_ui.worst_outcome()
-    attack.stop()
+    attacker.withdraw(attack)
     stack.run_for(1500.0)
     worst = max(worst, stack.system_ui.worst_outcome())
     return worst, (defense.hides_suppressed if defense is not None else 0)

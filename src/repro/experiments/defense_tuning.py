@@ -18,14 +18,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from ..defenses.benign import BenignOverlayApp
-from ..defenses.ipc_detector import DetectionRule, IpcDetector
+from ..defenses.ipc_detector import DetectionRule
 from ..devices.profiles import DeviceProfile
 from ..devices.registry import reference_device
-from ..stack import AndroidStack
-from ..windows.permissions import Permission
 from .config import ExperimentScale, QUICK
-from .engine import TrialSpec, run_trial, scenario, scoped_executor
+from .engine import TrialSpec, run_trial, scoped_executor
 
 
 @dataclass(frozen=True)
@@ -77,47 +74,30 @@ def _attack_detection(
     return trial.detection_latency_ms
 
 
-@scenario("ipc-tuning-benign")
-def ipc_tuning_benign_scenario(
-    stack: AndroidStack,
-    rule: DetectionRule,
-    observation_ms: float,
-) -> Tuple[int, int]:
-    """Run the benign ensemble; return (flagged, total)."""
-    detector = IpcDetector(stack.router, stack.system_server, rule=rule,
-                           terminate_on_detection=False)
-    # From placid floating widgets to a twitchy screen-dimmer that toggles
-    # its overlay under a second — the workload that punishes loose rules.
-    cadences = [
+#: From placid floating widgets to a twitchy screen-dimmer that toggles
+#: its overlay under a second — the workload that punishes loose rules.
+_TUNING_BENIGN_APPS = tuple(
+    (f"com.benign.{index}", dwell, pause)
+    for index, (dwell, pause) in enumerate([
         (45_000.0, 15_000.0),
         (12_000.0, 4_000.0),
         (3_000.0, 1_500.0),
         (800.0, 400.0),
-    ]
-    apps = []
-    for index, (dwell, pause) in enumerate(cadences):
-        app = BenignOverlayApp(stack, package=f"com.benign.{index}",
-                               dwell_ms=dwell, pause_ms=pause)
-        stack.permissions.grant(app.package, Permission.SYSTEM_ALERT_WINDOW)
-        app.start()
-        apps.append(app)
-    stack.run_for(observation_ms)
-    for app in apps:
-        app.stop()
-    stack.run_for(500.0)
-    flagged = sum(1 for app in apps if detector.is_flagged(app.package))
-    return flagged, len(apps)
+    ])
+)
 
 
 def _benign_false_positives(
     profile: DeviceProfile, rule: DetectionRule, seed: int,
     observation_ms: float,
 ) -> Tuple[int, int]:
+    """Run the benign ensemble; return (flagged, total)."""
     return run_trial(TrialSpec(
-        scenario="ipc-tuning-benign",
+        scenario="benign-overlays",
         seed=seed,
         profile=profile,
-        params={"rule": rule, "observation_ms": observation_ms},
+        params={"apps": _TUNING_BENIGN_APPS, "observation_ms": observation_ms,
+                "rule": rule, "terminate_on_detection": False},
     ))
 
 

@@ -13,18 +13,14 @@ the paper's "the experiment results match our analysis".
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from ..analysis.uncovered_time import measure_overlay_coverage
-from ..attacks.overlay_attack import DrawAndDestroyOverlayAttack, OverlayAttackConfig
 from ..attacks.timing import expected_mistouch_for_profile
 from ..devices.profiles import DeviceProfile
 from ..devices.registry import device
-from ..stack import AndroidStack
-from ..windows.permissions import Permission
 from .config import ExperimentScale, QUICK
-from .engine import TrialSpec, scenario, scoped_executor
+from .engine import TrialSpec, scoped_executor
 
 
 @dataclass(frozen=True)
@@ -59,35 +55,6 @@ class EquationValidationResult(SerializableMixin):
         return all(a >= b - 2.0 for a, b in zip(measured, measured[1:]))
 
 
-@scenario("equation-validation")
-def equation_validation_scenario(
-    stack: AndroidStack, attacking_window_ms: float, attack_ms: float
-) -> EquationValidationRow:
-    """Attack at one D; compare Eq. (2) with trace-measured exposure."""
-    attack = DrawAndDestroyOverlayAttack(
-        stack, OverlayAttackConfig(attacking_window_ms=attacking_window_ms)
-    )
-    stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
-    start = stack.now
-    attack.start()
-    stack.run_for(attack_ms)
-    coverage = measure_overlay_coverage(
-        stack.simulation.trace, attack.package, start, stack.now
-    )
-    attack.stop()
-    stack.run_for(500.0)
-    predicted = expected_mistouch_for_profile(
-        stack.profile, attack_ms, attacking_window_ms
-    ).expected_mistouch_ms
-    return EquationValidationRow(
-        attacking_window_ms=attacking_window_ms,
-        attack_duration_ms=attack_ms,
-        predicted_ms=predicted,
-        measured_ms=coverage.uncovered_ms,
-        gap_count=coverage.gap_count,
-    )
-
-
 def _run_equation_validation(
     scale: ExperimentScale = QUICK,
     profile: Optional[DeviceProfile] = None,
@@ -96,16 +63,28 @@ def _run_equation_validation(
 ) -> EquationValidationResult:
     """Attack at each D; compare Eq. (2) with trace-measured exposure."""
     profile = profile or device("pixel 4")  # Android 10: visible Tmis
+    windows = [float(d) for d in durations]
     specs = [
         TrialSpec(
-            scenario="equation-validation",
+            scenario="overlay-coverage",
             seed=scale.seed + index,
             profile=profile,
             trace_enabled=True,
-            params={"attacking_window_ms": float(d), "attack_ms": attack_ms},
+            params={"attacking_window_ms": d, "attack_ms": attack_ms},
         )
-        for index, d in enumerate(durations)
+        for index, d in enumerate(windows)
     ]
     with scoped_executor() as executor:
-        rows: List[EquationValidationRow] = executor.map(specs)
-    return EquationValidationResult(device_key=profile.key, rows=tuple(rows))
+        runs = executor.map(specs)
+    rows = tuple(
+        EquationValidationRow(
+            attacking_window_ms=d,
+            attack_duration_ms=attack_ms,
+            predicted_ms=expected_mistouch_for_profile(
+                profile, attack_ms, d).expected_mistouch_ms,
+            measured_ms=coverage.uncovered_ms,
+            gap_count=coverage.gap_count,
+        )
+        for d, (coverage, _) in zip(windows, runs)
+    )
+    return EquationValidationResult(device_key=profile.key, rows=rows)

@@ -25,17 +25,11 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
-from ..analysis.uncovered_time import measure_overlay_coverage
-from ..attacks.overlay_attack import DrawAndDestroyOverlayAttack, OverlayAttackConfig
-from ..defenses.benign import BenignOverlayApp
-from ..defenses.ipc_detector import IpcDetector
 from ..sim.faults import ADVERSARIAL, NONE, FaultProfile
 from ..sim.rng import SeededRng
-from ..stack import AndroidStack
 from ..users.participant import generate_participants
-from ..windows.permissions import Permission
 from .config import ExperimentScale, QUICK
-from .engine import TrialSpec, run_trial, scenario, scoped_executor
+from .engine import TrialSpec, run_trial, scoped_executor
 from .scenarios import run_capture_trial
 
 #: Scale factors applied to the base profile (0 = the fault-free anchor).
@@ -140,26 +134,20 @@ def _mean_capture_rate(
     return sum(rates) / len(rates) if rates else 0.0
 
 
-@scenario("noise-tmis")
-def noise_tmis_scenario(
-    stack: AndroidStack, horizon_ms: float
+def _measure_tmis(
+    scale: ExperimentScale, faults: FaultProfile, seed: int
 ) -> Tuple[float, float, int, int]:
-    """(mean gap ms, uncovered ms, gap count, adaptations) of one traced run."""
-    attack = DrawAndDestroyOverlayAttack(
-        stack,
-        OverlayAttackConfig(
-            attacking_window_ms=ATTACKING_WINDOW_MS, adaptive=True
-        ),
-    )
-    stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
-    attack.start()
-    stack.run_for(horizon_ms)
-    end = stack.now
-    attack.stop()
-    stack.run_for(500.0)
-    timeline = measure_overlay_coverage(
-        stack.simulation.trace, attack.package, 0.0, end
-    )
+    """(mean gap ms, uncovered ms, gap count, adaptations) of one traced
+    run of the adaptive attack."""
+    timeline, adaptations = run_trial(TrialSpec(
+        scenario="overlay-coverage",
+        seed=seed,
+        trace_enabled=True,
+        faults=faults,
+        params={"attacking_window_ms": ATTACKING_WINDOW_MS,
+                "attack_ms": max(3000.0, scale.boundary_trial_ms),
+                "adaptive": True},
+    ))
     intervals = timeline.covered_intervals
     # Internal gaps between consecutive covered intervals are the per-cycle
     # mistouch windows (paper Eq. (1): Tmis = Tam + Tas - Trm, widened here
@@ -169,61 +157,12 @@ def noise_tmis_scenario(
         for (_, earlier_end), (later_start, _) in zip(intervals, intervals[1:])
     ]
     mean_gap = sum(gaps) / len(gaps) if gaps else 0.0
-    return (
-        mean_gap,
-        timeline.uncovered_ms,
-        timeline.gap_count,
-        attack.stats.adaptations,
-    )
+    return mean_gap, timeline.uncovered_ms, timeline.gap_count, adaptations
 
 
-def _measure_tmis(
-    scale: ExperimentScale, faults: FaultProfile, seed: int
-) -> Tuple[float, float, int, int]:
-    return run_trial(TrialSpec(
-        scenario="noise-tmis",
-        seed=seed,
-        trace_enabled=True,
-        faults=faults,
-        params={"horizon_ms": max(3000.0, scale.boundary_trial_ms)},
-    ))
-
-
-@scenario("noise-detector-attack")
-def noise_detector_attack_scenario(
-    stack: AndroidStack, attack_ms: float
-) -> bool:
-    """One attack run with the detector; True when it was flagged."""
-    detector = IpcDetector(stack.router, stack.system_server)
-    attack = DrawAndDestroyOverlayAttack(
-        stack, OverlayAttackConfig(attacking_window_ms=ATTACKING_WINDOW_MS)
-    )
-    stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
-    attack.start()
-    stack.run_for(attack_ms)
-    attack.stop()
-    stack.run_for(500.0)
-    return detector.is_flagged(attack.package)
-
-
-@scenario("noise-detector-benign")
-def noise_detector_benign_scenario(stack: AndroidStack) -> int:
-    """Benign floating-widget control run; returns false positives."""
-    detector = IpcDetector(stack.router, stack.system_server)
-    benign = []
-    for i in range(2):
-        app = BenignOverlayApp(
-            stack, package=f"com.benign.noise{i}", dwell_ms=15_000.0,
-            pause_ms=5_000.0,
-        )
-        stack.permissions.grant(app.package, Permission.SYSTEM_ALERT_WINDOW)
-        app.start()
-        benign.append(app)
-    stack.run_for(_BENIGN_OBSERVATION_MS)
-    for app in benign:
-        app.stop()
-    stack.run_for(500.0)
-    return sum(1 for app in benign if detector.is_flagged(app.package))
+#: Floating-widget apps of the benign control, run under the same noise.
+_BENIGN_APPS = tuple(
+    (f"com.benign.noise{i}", 15_000.0, 5_000.0) for i in range(2))
 
 
 def _detector_quality(
@@ -234,17 +173,19 @@ def _detector_quality(
     true_positives = sum(
         1 for index in range(_DETECTOR_TRIALS)
         if run_trial(TrialSpec(
-            scenario="noise-detector-attack",
+            scenario="ipc-defense-attack",
             seed=seed_base + index,
             faults=faults,
-            params={"attack_ms": attack_ms},
-        ))
+            params={"attacking_window_ms": ATTACKING_WINDOW_MS,
+                    "attack_ms": attack_ms},
+        ))[0].detected
     )
-    # Benign control: floating-widget apps under the same noise.
-    false_positives = run_trial(TrialSpec(
-        scenario="noise-detector-benign",
+    false_positives, _ = run_trial(TrialSpec(
+        scenario="benign-overlays",
         seed=seed_base + 977,
         faults=faults,
+        params={"apps": _BENIGN_APPS,
+                "observation_ms": _BENIGN_OBSERVATION_MS},
     ))
     recall = true_positives / _DETECTOR_TRIALS
     flagged_total = true_positives + false_positives

@@ -103,6 +103,15 @@ class ChaosCrash(RuntimeError):
 # Run policy
 # ---------------------------------------------------------------------------
 
+#: Multiplier applied to the retry delay per additional attempt.
+BACKOFF_FACTOR = 2.0
+#: Ceiling on any single retry delay (seconds).
+BACKOFF_MAX_SECONDS = 30.0
+#: Relative jitter amplitude of a retry delay; the draw is a pure
+#: function of ``(seed, experiment, attempt)``, never wall clock.
+BACKOFF_JITTER = 0.1
+
+
 @dataclass(frozen=True, kw_only=True)
 class RunPolicy:
     """Supervision knobs for one ``run_all`` pass.
@@ -123,13 +132,6 @@ class RunPolicy:
     deadline_seconds: Optional[float] = None
     #: First retry delay; 0 disables backoff entirely (no sleeping).
     backoff_base_seconds: float = 0.0
-    #: Multiplier applied per additional attempt.
-    backoff_factor: float = 2.0
-    #: Ceiling on any single backoff delay.
-    backoff_max_seconds: float = 30.0
-    #: Relative jitter amplitude in ``[0, 1]``; the draw is a pure
-    #: function of ``(seed, experiment, attempt)``, never wall clock.
-    backoff_jitter: float = 0.1
     #: Restore the historical abort-on-first-error behaviour: the first
     #: *permanent* failure (attempts exhausted) re-raises instead of
     #: being recorded.
@@ -145,15 +147,6 @@ class RunPolicy:
         if self.backoff_base_seconds < 0:
             raise ValueError("backoff_base_seconds must be >= 0, got "
                              f"{self.backoff_base_seconds}")
-        if self.backoff_factor < 1.0:
-            raise ValueError(
-                f"backoff_factor must be >= 1, got {self.backoff_factor}")
-        if self.backoff_max_seconds < 0:
-            raise ValueError("backoff_max_seconds must be >= 0, got "
-                             f"{self.backoff_max_seconds}")
-        if not 0.0 <= self.backoff_jitter <= 1.0:
-            raise ValueError(
-                f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}")
 
     def backoff_seconds(self, seed: int, name: str, attempt: int) -> float:
         """Delay before re-submitting ``name`` after failed ``attempt``.
@@ -166,15 +159,13 @@ class RunPolicy:
         if self.backoff_base_seconds <= 0:
             return 0.0
         delay = min(
-            self.backoff_base_seconds * self.backoff_factor ** (attempt - 1),
-            self.backoff_max_seconds,
+            self.backoff_base_seconds * BACKOFF_FACTOR ** (attempt - 1),
+            BACKOFF_MAX_SECONDS,
         )
-        if self.backoff_jitter == 0.0:
-            return delay
         digest = hashlib.sha256(
             f"{seed}:{name}:{attempt}".encode("utf-8")).digest()
         unit = int.from_bytes(digest[:8], "big") / 2 ** 64  # [0, 1)
-        return delay * (1.0 + self.backoff_jitter * (2.0 * unit - 1.0))
+        return delay * (1.0 + BACKOFF_JITTER * (2.0 * unit - 1.0))
 
 
 #: The inert policy ``run_all`` uses when none is given.
@@ -207,8 +198,6 @@ class ExperimentFailure(SerializableMixin):
 
 def classify_failure(exc: BaseException) -> str:
     """Map an exception to an :class:`ExperimentFailure` ``kind``."""
-    from concurrent.futures.process import BrokenProcessPool
-
     if isinstance(exc, DeadlineExceeded):
         return "deadline"
     if isinstance(exc, ResultIntegrityError):

@@ -1,20 +1,25 @@
 """Reusable end-to-end scenario runners.
 
-Three building blocks power most experiments:
+These building blocks power most experiments:
 
-* :func:`run_notification_trial` — run the bare draw-and-destroy overlay
-  attack on one device for a while and report the worst notification
-  outcome (Fig. 6 / Table II);
+* :func:`run_notification_trial` — run one attacker model (by default the
+  bare draw-and-destroy overlay attack) on one device for a while and
+  report the worst notification outcome (Fig. 6 / Table II, and the
+  feasibility service's D sweep);
 * :func:`run_capture_trial` — one participant types random characters on
   the testing app while the overlay attack runs; reports the committed
   touch-capture rate (Fig. 7 / Fig. 8);
 * :func:`run_password_trial` — the full password-stealing attack against a
   victim app, including trigger, fake keyboard, inference and perception
-  (Table III / Table IV / stealthiness study).
+  (Table III / Table IV / stealthiness study);
+* ``overlay-coverage`` — a traced attack run whose overlay coverage Eq. (2)
+  validation and the noise sweep read off;
+* ``benign-overlays`` — benign overlay apps under the IPC detector, the
+  false-positive control of every detector study.
 
-Each is a registered engine scenario (it runs against a leased stack) plus
-a thin wrapper that builds the :class:`~repro.experiments.engine.TrialSpec`
-and routes through :func:`~repro.experiments.engine.run_trial` — under an
+Each is a registered engine scenario (it runs against a leased stack); the
+``run_*`` wrappers build the :class:`~repro.experiments.engine.TrialSpec`
+and route through :func:`~repro.experiments.engine.run_trial` — under an
 experiment's executor the stack is reused across trials; standalone calls
 still build per trial.
 """
@@ -22,9 +27,11 @@ still build per trial.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
+from ..actors import AttackerModel, UserModel, get_attacker
+from ..analysis.uncovered_time import CoverageTimeline, measure_overlay_coverage
 from ..apps.catalog import VictimAppSpec, bank_of_america
 from ..apps.ime import RealKeyboard
 from ..apps.accessibility import AccessibilityBus
@@ -44,6 +51,8 @@ from ..attacks.password_stealing import (
     PasswordStealingConfig,
     classify_password_attempt,
 )
+from ..defenses.benign import BenignOverlayApp
+from ..defenses.ipc_detector import DetectionRule, IpcDetector
 from ..devices.profiles import DeviceProfile
 from ..sim.rng import SeededRng
 from ..stack import AndroidStack
@@ -59,6 +68,10 @@ from .engine import TrialSpec, drive_until, run_trial, scenario
 #: Settling time appended after the last user action (ms).
 _SETTLE_MS = 400.0
 
+#: The notification scenario's default attacker, resolved once: campaigns
+#: run that scenario per trial.
+_DRAW_AND_DESTROY = get_attacker("draw-and-destroy")
+
 
 # ---------------------------------------------------------------------------
 # Notification outcome trials (Fig. 6, Table II)
@@ -69,16 +82,21 @@ def notification_scenario(
     stack: AndroidStack,
     attacking_window_ms: float,
     duration_ms: float = 3000.0,
+    attacker: AttackerModel = _DRAW_AND_DESTROY,
+    user: Optional[UserModel] = None,
 ) -> NotificationOutcome:
-    """The overlay attack alone; classify the alert's worst outcome."""
-    attack = DrawAndDestroyOverlayAttack(
-        stack, OverlayAttackConfig(attacking_window_ms=attacking_window_ms)
-    )
-    stack.permissions.grant(attack.package, Permission.SYSTEM_ALERT_WINDOW)
-    attack.start()
+    """One attacker model alone; classify the alert's worst outcome.
+
+    Defaults to the paper's draw-and-destroy overlay. ``attacker``/``user``
+    arrive as resolved behavior models when the :class:`TrialSpec` carries
+    labels, so a matrix can sweep the ``attackers`` axis (e.g. racing vs.
+    flooding); the user model is unused — the trial measures the alert,
+    not input capture.
+    """
+    handle = attacker.launch(stack, attacking_window_ms=attacking_window_ms)
     stack.run_for(duration_ms)
     worst_during = stack.system_ui.worst_outcome()
-    attack.stop()
+    attacker.withdraw(handle)
     stack.run_for(_SETTLE_MS)
     worst_after = stack.system_ui.worst_outcome()
     return max(worst_during, worst_after)
@@ -103,6 +121,66 @@ def run_notification_trial(
         params={"attacking_window_ms": attacking_window_ms,
                 "duration_ms": duration_ms},
     ))
+
+
+# ---------------------------------------------------------------------------
+# Trace-measured overlay coverage (Eq. 2 validation, noise sensitivity)
+# ---------------------------------------------------------------------------
+
+@scenario("overlay-coverage")
+def overlay_coverage_scenario(
+    stack: AndroidStack,
+    attacking_window_ms: float,
+    attack_ms: float,
+    adaptive: bool = False,
+) -> Tuple[CoverageTimeline, int]:
+    """Run draw-and-destroy for ``attack_ms`` on a traced stack; return
+    its overlay coverage over ``[0, attack end]`` and the window
+    widenings the (optionally adaptive) attack performed."""
+    handle = _DRAW_AND_DESTROY.launch(
+        stack, attacking_window_ms=attacking_window_ms, adaptive=adaptive)
+    stack.run_for(attack_ms)
+    end = stack.now
+    _DRAW_AND_DESTROY.withdraw(handle)
+    stack.run_for(500.0)
+    coverage = measure_overlay_coverage(
+        stack.simulation.trace, handle.package, 0.0, end)
+    return coverage, handle.stats.adaptations
+
+
+# ---------------------------------------------------------------------------
+# Benign overlay workloads (IPC detector false-positive controls)
+# ---------------------------------------------------------------------------
+
+#: One benign overlay workload: ``(package, dwell_ms, pause_ms)``.
+BenignApp = Tuple[str, float, float]
+
+
+@scenario("benign-overlays")
+def benign_overlays_scenario(
+    stack: AndroidStack,
+    apps: Sequence[BenignApp],
+    observation_ms: float,
+    rule: Optional[DetectionRule] = None,
+    terminate_on_detection: bool = True,
+) -> Tuple[int, int]:
+    """Benign overlay apps under the IPC detector — the false-positive
+    control of every detector study; returns (flagged, observed)."""
+    detector = IpcDetector(stack.router, stack.system_server, rule=rule,
+                           terminate_on_detection=terminate_on_detection)
+    running = []
+    for package, dwell_ms, pause_ms in apps:
+        app = BenignOverlayApp(stack, package=package, dwell_ms=dwell_ms,
+                               pause_ms=pause_ms)
+        stack.permissions.grant(app.package, Permission.SYSTEM_ALERT_WINDOW)
+        app.start()
+        running.append(app)
+    stack.run_for(observation_ms)
+    for app in running:
+        app.stop()
+    stack.run_for(500.0)
+    flagged = sum(1 for app in running if detector.is_flagged(app.package))
+    return flagged, len(running)
 
 
 # ---------------------------------------------------------------------------

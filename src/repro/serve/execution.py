@@ -4,24 +4,26 @@
 (:func:`repro.api.query_feasibility`) and the service's worker pool
 (:func:`execute_query_job`), which is what makes a service answer
 byte-identical to a direct call: same scenarios, same seed derivation,
-same aggregation — only the transport differs.
+same aggregation — only the transport differs. The D sweep runs the
+engine's ``notification`` scenario through the query's attacker model;
+the capture probe runs ``feasibility-capture``.
 
 Determinism contract: every trial's seed is
-``sha256("serve:<base seed>:<cell>")`` over a cell string naming the
-device, fault regime, behavior labels, grid value and trial index — the
-same partitioning idiom as :meth:`ExperimentScale.for_experiment` — so
-no trial shares RNG state with another and neither worker placement nor
+``ExperimentScale(name="serve", seed=<base seed>).derived_seed(<cell>)``
+(``sha256("serve:<base seed>:<cell>")``) over a cell string naming the
+device, fault regime, behavior labels, grid value and trial index, so no
+trial shares RNG state with another and neither worker placement nor
 execution order can change a byte of the report.
 """
 
 from __future__ import annotations
 
-import hashlib
 from typing import List, Optional
 
 from ..actors import get_attacker, get_user
 from ..apps.keyboard import KeyboardSpec, default_keyboard_rect
 from ..devices import DeviceProfile
+from ..experiments.config import ExperimentScale
 from ..experiments.engine import (
     TrialExecutor,
     TrialSpec,
@@ -32,7 +34,6 @@ from ..experiments.engine import (
 from ..experiments.parallel import reset_id_allocators
 from ..sim.rng import SeededRng
 from ..stack import AndroidStack
-from ..systemui.outcomes import NotificationOutcome
 from ..users.passwords import PasswordGenerator
 from .schema import (
     CaptureProbeStats,
@@ -52,33 +53,6 @@ _SETTLE_MS = 400.0
 #: (``REPRO_CHAOS`` ``"serve-query:<attempt>:<mode>"`` targets every
 #: query).
 CHAOS_POINT = "serve-query"
-
-
-@scenario("feasibility")
-def feasibility_scenario(
-    stack: AndroidStack,
-    attacking_window_ms: float,
-    duration_ms: float = 2000.0,
-    attacker=None,
-    user=None,
-) -> NotificationOutcome:
-    """One D-sweep trial: run the attacker model, classify the alert.
-
-    ``attacker``/``user`` arrive as resolved behavior models when the
-    :class:`TrialSpec` carries labels; the default attacker is the
-    paper's draw-and-destroy overlay. The user model is unused here —
-    the sweep measures the alert, not input capture — but accepted so
-    labeled specs route through unchanged.
-    """
-    model = attacker if attacker is not None else get_attacker(
-        "draw-and-destroy")
-    handle = model.launch(stack, attacking_window_ms=attacking_window_ms)
-    stack.run_for(duration_ms)
-    worst_during = stack.system_ui.worst_outcome()
-    model.withdraw(handle)
-    stack.run_for(_SETTLE_MS)
-    worst_after = stack.system_ui.worst_outcome()
-    return max(worst_during, worst_after)
 
 
 @scenario("feasibility-capture")
@@ -120,11 +94,6 @@ def feasibility_capture_scenario(
     )
 
 
-def _trial_seed(query: FeasibilityQuery, cell: str) -> int:
-    material = f"serve:{query.seed}:{cell}".encode("utf-8")
-    return int.from_bytes(hashlib.sha256(material).digest()[:8], "big")
-
-
 def _cell(query: FeasibilityQuery, profile: DeviceProfile, kind: str,
           d: float, trial: int) -> str:
     return (f"feasibility/{profile.key}/{query.faults}/{query.attacker}"
@@ -150,6 +119,7 @@ def execute_query(
 def _execute(query: FeasibilityQuery,
              executor: TrialExecutor) -> FeasibilityReport:
     profile = query.resolve_device()
+    seeds = ExperimentScale(name="serve", seed=query.seed)
     reset_id_allocators()
 
     points: List[DWindowPoint] = []
@@ -158,8 +128,9 @@ def _execute(query: FeasibilityQuery,
     for d in query.d_values():
         outcomes = [
             executor.run(TrialSpec(
-                scenario="feasibility",
-                seed=_trial_seed(query, _cell(query, profile, "sweep", d, t)),
+                scenario="notification",
+                seed=seeds.derived_seed(
+                    _cell(query, profile, "sweep", d, t)),
                 profile=profile,
                 faults=query.faults,
                 params={"attacking_window_ms": d,
@@ -188,8 +159,8 @@ def _execute(query: FeasibilityQuery,
         trials = [
             executor.run(TrialSpec(
                 scenario="feasibility-capture",
-                seed=(s := _trial_seed(
-                    query, _cell(query, profile, "probe", max_feasible, t))),
+                seed=(s := seeds.derived_seed(
+                    _cell(query, profile, "probe", max_feasible, t))),
                 profile=profile,
                 faults=query.faults,
                 params={"attacking_window_ms": max_feasible,

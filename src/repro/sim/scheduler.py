@@ -181,10 +181,13 @@ class EventScheduler:
             ``True`` if an event was dispatched, ``False`` if the queue was
             empty.
         """
-        self._drop_cancelled_head()
-        if not self._heap:
+        heap = self._heap
+        while heap:
+            event = heapq.heappop(heap)[2]
+            if not event.cancelled:  # skip heap slots of cancelled events
+                break
+        else:
             return False
-        event = heapq.heappop(self._heap)[2]
         # The event has left the queue: detach the cancel hook so a late
         # handle.cancel() cannot drive the pending counter negative.
         event.on_cancel = None
@@ -209,8 +212,8 @@ class EventScheduler:
         dispatched = 0
         heap = self._heap
         while True:
-            # Inline head inspection: peek_time() + step() would scan the
-            # cancelled head twice per event on this hottest of loops.
+            # The head is live after this, so step() pops it on its first
+            # try: one cancelled-head scan per event on this hottest loop.
             self._drop_cancelled_head()
             if not heap or heap[0][0] > time_ms:
                 break

@@ -246,6 +246,18 @@ class TestDefaultTrialMetrics:
         assert metrics["suppressed"] == 1.0
         assert "label" not in metrics  # str property: not a metric
 
+    def test_notification_outcome_yields_exactly_value_and_suppressed(self):
+        from repro.experiments.aggregate import _property_getters
+        from repro.systemui.outcomes import NotificationOutcome
+
+        for outcome in NotificationOutcome:
+            assert set(default_trial_metrics(None, outcome)) == {
+                "value", "suppressed"}
+        # The str-typed label getter is never called per trial.
+        names = [name for name, _ in _property_getters(NotificationOutcome)]
+        assert "label" not in names
+        assert "suppressed" in names
+
     def test_dataclass_includes_fields_and_properties(self):
         from repro.experiments.scenarios import CaptureTrialResult
 

@@ -50,7 +50,7 @@ def test_experiment_scenarios_are_registered():
     names = scenario_names()
     for expected in ("notification", "capture", "password",
                      "toast-continuity", "ipc-defense-attack",
-                     "equation-validation", "trigger-channel"):
+                     "overlay-coverage", "trigger-channel"):
         assert expected in names
 
 
@@ -242,3 +242,36 @@ def test_run_trial_uses_ambient_executor_when_present():
         pooled = run_trial(spec)
         assert executor.stats.stacks_reused == 1
     assert pooled == standalone
+
+
+# ---------------------------------------------------------------------------
+# The notification scenario's attacker axis
+# ---------------------------------------------------------------------------
+
+_NOTIFICATION_PARAMS = {"attacking_window_ms": 100.0, "duration_ms": 400.0}
+
+
+def test_labeled_draw_and_destroy_matches_the_unlabeled_default():
+    seed = QUICK.derived_seed("notification-axis")
+    unlabeled = run_trial(TrialSpec(
+        scenario="notification", seed=seed, params=_NOTIFICATION_PARAMS))
+    labeled = run_trial(TrialSpec(
+        scenario="notification", seed=seed, params=_NOTIFICATION_PARAMS,
+        attacker="draw-and-destroy"))
+    assert labeled == unlabeled
+
+
+def test_notification_matrix_sweeps_the_attacker_axis():
+    matrix = ScenarioMatrix(
+        name="notification-axis", scenario="notification", scale=QUICK,
+        configs=(_NOTIFICATION_PARAMS,), trials=2,
+        attackers=("draw-and-destroy", "notification-flooding"))
+    outcomes = TrialExecutor().run_matrix(matrix)
+    assert len(outcomes) == len(matrix) == 4
+    by_attacker = {}
+    for outcome in outcomes:
+        by_attacker.setdefault(outcome.spec.attacker, []).append(
+            outcome.value)
+    # D = 100 ms races the alert down; the flooder never races it.
+    assert all(v.suppressed for v in by_attacker["draw-and-destroy"])
+    assert not any(v.suppressed for v in by_attacker["notification-flooding"])

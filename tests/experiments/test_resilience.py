@@ -40,6 +40,9 @@ from repro.experiments import (
 )
 from repro.experiments.parallel import CACHE_VERSION
 from repro.experiments.resilience import (
+    BACKOFF_FACTOR,
+    BACKOFF_JITTER,
+    BACKOFF_MAX_SECONDS,
     ChaosCrash,
     ChaosError,
     DEADLINE_METRIC,
@@ -74,10 +77,6 @@ class TestRunPolicy:
         {"deadline_seconds": 0.0},
         {"deadline_seconds": -1.0},
         {"backoff_base_seconds": -0.1},
-        {"backoff_factor": 0.5},
-        {"backoff_max_seconds": -1.0},
-        {"backoff_jitter": 1.5},
-        {"backoff_jitter": -0.1},
     ])
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
@@ -90,20 +89,23 @@ class TestRunPolicy:
         assert a == b
 
     def test_backoff_grows_and_caps(self):
-        policy = RunPolicy(max_attempts=10, backoff_base_seconds=1.0,
-                           backoff_factor=2.0, backoff_max_seconds=4.0,
-                           backoff_jitter=0.0)
-        delays = [policy.backoff_seconds(1, "fig7", n) for n in range(1, 6)]
-        assert delays == [1.0, 2.0, 4.0, 4.0, 4.0]
+        # Base 1 s doubles per attempt (BACKOFF_FACTOR) up to the
+        # BACKOFF_MAX_SECONDS cap, each delay within BACKOFF_JITTER of it.
+        assert (BACKOFF_FACTOR, BACKOFF_MAX_SECONDS) == (2.0, 30.0)
+        policy = RunPolicy(max_attempts=10, backoff_base_seconds=1.0)
+        delays = [policy.backoff_seconds(1, "fig7", n) for n in range(1, 9)]
+        expected = [1.0, 2.0, 4.0, 8.0, 16.0, 30.0, 30.0, 30.0]
+        for delay, nominal in zip(delays, expected):
+            assert abs(delay - nominal) <= BACKOFF_JITTER * nominal
 
     def test_backoff_jitter_varies_by_key(self):
-        policy = RunPolicy(max_attempts=3, backoff_base_seconds=1.0,
-                           backoff_jitter=0.5)
+        assert BACKOFF_JITTER == 0.1
+        policy = RunPolicy(max_attempts=3, backoff_base_seconds=1.0)
         by_name = {policy.backoff_seconds(1, name, 1)
                    for name in ("fig7", "fig8", "table3")}
         assert len(by_name) == 3
         for delay in by_name:
-            assert 0.5 <= delay <= 1.5
+            assert 1.0 - BACKOFF_JITTER <= delay <= 1.0 + BACKOFF_JITTER
 
     def test_zero_base_never_sleeps(self):
         policy = RunPolicy(max_attempts=5)

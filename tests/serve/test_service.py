@@ -3,6 +3,7 @@ in-process path, single-flight coalescing, the persistent cache,
 supervised failure handling and the HTTP front."""
 
 import asyncio
+import hashlib
 import json
 
 import pytest
@@ -36,7 +37,27 @@ async def _with_service(body, config=None):
         await service.close()
 
 
+#: sha256 of ``aggregates_json()`` for fixed tiny queries. Unlike the
+#: served-vs-direct comparison (both sides move together), these pin the
+#: served bytes themselves across refactors of the execution path.
+SERVED_BYTES_SHA256 = {
+    "sweep": "5d68866848ccd68c5a3e13052c2e9c35fb444c323bba55d6bf6752d4aee64ff8",
+    "sweep+probe":
+        "545d328e4348065ecb0cdf11d5479668aa623ee1b70affc29d6791c86d91b5b7",
+}
+
+
 class TestExecutionIdentity:
+    @pytest.mark.parametrize("label, overrides", [
+        ("sweep", {}),
+        ("sweep+probe", {"probe_chars": 3, "probe_trials": 1}),
+    ])
+    def test_served_bytes_are_pinned(self, label, overrides):
+        report = query_feasibility(_tiny(**overrides))
+        digest = hashlib.sha256(
+            report.aggregates_json().encode("utf-8")).hexdigest()
+        assert digest == SERVED_BYTES_SHA256[label]
+
     def test_served_answer_matches_in_process_byte_for_byte(self):
         query = _tiny()
         direct = query_feasibility(query)
