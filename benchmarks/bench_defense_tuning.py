@@ -6,16 +6,15 @@ Expected shape: loose pair-gap ceilings start flagging twitchy-but-benign
 widgets; fewer required pairs detect faster at equal false-positive cost.
 """
 
-from repro.api import run_experiment
+from repro.api import ExperimentRequest, run_experiment
 
 
 def bench_ipc_rule_tuning(benchmark, scale):
-    result = benchmark.pedantic(
-        run_experiment, args=("defense_tuning",),
-        kwargs={"scale": scale, "derive_seed": False,
-                "attack_ms": 10_000.0, "benign_observation_ms": 90_000.0},
-        rounds=1, iterations=1,
-    )
+    request = ExperimentRequest(
+        name="defense_tuning", scale=scale, derive_seed=False,
+        params={"attack_ms": 10_000.0, "benign_observation_ms": 90_000.0})
+    result = benchmark.pedantic(run_experiment, args=(request,),
+                                rounds=1, iterations=1)
     assert result.usable_points, "no deployable operating point found"
     best = result.best_point()
     assert best is not None

@@ -4,15 +4,15 @@ Paper shape (Section III-D / VI-B): the expected mistouch time decreases
 as D increases, and "the experiment results match our analysis".
 """
 
-from repro.api import run_experiment
+from repro.api import ExperimentRequest, run_experiment
 
 
 def bench_equation2_validation(benchmark, scale):
-    result = benchmark.pedantic(
-        run_experiment, args=("equation_validation",),
-        kwargs={"scale": scale, "derive_seed": False,
-                "attack_ms": 10_000.0}, rounds=1, iterations=1,
-    )
+    request = ExperimentRequest(
+        name="equation_validation", scale=scale, derive_seed=False,
+        params={"attack_ms": 10_000.0})
+    result = benchmark.pedantic(run_experiment, args=(request,),
+                                rounds=1, iterations=1)
     assert result.max_relative_error < 0.05
     assert result.measured_decreases_with_d
     print(f"\nEq. (2) validation ({result.device_key}, 10 s attack):")

@@ -37,6 +37,7 @@ from .analysis.sequence_diagram import (
     render_toast_attack_figure,
 )
 from .devices import DEVICES, device
+from .experiments.config import SCALES
 from .stack import build_stack
 from .systemui import AlertMode
 from .windows.geometry import Point, Rect
@@ -175,17 +176,10 @@ def _report_failures(results, command: str) -> int:
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    from .experiments import (
-        FULL,
-        QUICK,
-        SMOKE,
-        default_cache_dir,
-        format_report,
-        run_all,
-    )
+    from .experiments import default_cache_dir, format_report, run_all
     from .experiments.resilience import JournalError
 
-    scale = {"full": FULL, "quick": QUICK, "smoke": SMOKE}[args.scale]
+    scale = SCALES[args.scale]
     if args.faults != "none":
         scale = scale.with_faults(args.faults)
     collect_metrics = args.metrics_out is not None
@@ -227,10 +221,10 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_metrics(args: argparse.Namespace) -> int:
-    from .experiments import FULL, QUICK, SMOKE, run_all
+    from .experiments import run_all
     from .obs import merge_samples, render_prometheus
 
-    scale = {"full": FULL, "quick": QUICK, "smoke": SMOKE}[args.scale]
+    scale = SCALES[args.scale]
     if args.faults != "none":
         scale = scale.with_faults(args.faults)
     results = run_all(scale, jobs=args.jobs, collect_metrics=True)
@@ -260,9 +254,8 @@ def _cmd_experiments(args: argparse.Namespace) -> int:
 
     if args.run is not None:
         from .api import run_experiment
-        from .experiments import FULL, QUICK, SMOKE
 
-        scale = {"full": FULL, "quick": QUICK, "smoke": SMOKE}[args.scale]
+        scale = SCALES[args.scale]
         try:
             result = run_experiment(args.run, scale=scale)
         except KeyError as exc:
@@ -632,7 +625,7 @@ def build_parser() -> argparse.ArgumentParser:
     diagram.add_argument("--seed", type=int, default=2)
 
     report = sub.add_parser("report", help="run the full reproduction suite")
-    report.add_argument("--scale", choices=("smoke", "quick", "full"),
+    report.add_argument("--scale", choices=tuple(SCALES),
                         default="quick")
     report.add_argument("--verbose", action="store_true",
                         help="per-experiment progress + timing appendix")
@@ -680,7 +673,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="run the suite with metrics collection and export the "
              "aggregated series",
     )
-    metrics.add_argument("--scale", choices=("smoke", "quick", "full"),
+    metrics.add_argument("--scale", choices=tuple(SCALES),
                          default="quick")
     metrics.add_argument("--jobs", type=_nonnegative_int, default=1,
                          help="worker processes (0 = one per core)")
@@ -701,7 +694,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--run", default=None, metavar="NAME",
         help="run one named experiment and print its result "
              "(exit 1 on failure)")
-    experiments.add_argument("--scale", choices=("smoke", "quick", "full"),
+    experiments.add_argument("--scale", choices=tuple(SCALES),
                              default="quick")
 
     actors = sub.add_parser(

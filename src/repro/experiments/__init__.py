@@ -55,12 +55,10 @@ from .parallel import (
     ExperimentSpec,
     ExperimentTiming,
     ResultCache,
-    RunOutcome,
     default_cache_dir,
     experiment_names,
     experiment_spec,
     reset_id_allocators,
-    run_experiments,
 )
 from ..storage.envelope import CacheIntegrityError
 from ..storage.journal import JournalError
@@ -182,7 +180,6 @@ __all__ = [
     "MetricDigest",
     "ResultCache",
     "RunJournal",
-    "RunOutcome",
     "RunPolicy",
     "ShardOutcome",
     "ShardSpec",
@@ -198,7 +195,6 @@ __all__ = [
     "reset_id_allocators",
     "resolve_jobs",
     "run_campaign",
-    "run_experiments",
     "run_supervised",
     "shard_matrix",
     "CaptureTrialResult",

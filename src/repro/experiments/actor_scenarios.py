@@ -36,9 +36,7 @@ from ..users.passwords import PasswordGenerator
 from ..users.perception import PerceptionModel
 from ..windows.touch import TapOutcome
 from .engine import TrialSpec, drive_until, run_trial, scenario
-
-#: Settling time appended after the attack is withdrawn (ms).
-_SETTLE_MS = 400.0
+from .scenarios import SETTLE_MS
 
 
 # ---------------------------------------------------------------------------
@@ -111,7 +109,7 @@ def notification_flooding_scenario(
     saturation = drawer.saturation(stack)
     conspicuous = drawer.alert_conspicuous(stack, package, perception)
     attacker.withdraw(handle)
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
     return FloodingTrialResult(
         worst_outcome=max(worst_during, stack.system_ui.worst_outcome()),
         alert_occluded=occluded,
@@ -208,7 +206,7 @@ def gui_agent_user_scenario(
     session = user.type_text(stack, spec, text)
     drive_until(stack, lambda: session.complete)
     attacker.withdraw(handle)
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
     package = handle.package
     committed = sum(
         1 for t in session.taps

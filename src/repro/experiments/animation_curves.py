@@ -108,6 +108,16 @@ def _run_fig2(step_ms: float = 2.0) -> Fig2Result:
     )
 
 
+def _render_fig2(result: Fig2Result) -> str:
+    return (
+        f"- completeness at 100 ms: {result.completeness_at_100ms:.1f}% "
+        "(paper: < 50%)\n"
+        f"- completeness at 10 ms: {result.completeness_at_10ms:.2f}% "
+        "(paper: ~0.17%)\n"
+        f"- pixels of a 72 px view at 10 ms: "
+        f"{result.pixels_at_10ms_of_72px_view} (paper: 0)\n\n")
+
+
 def _run_fig4(step_ms: float = 2.0) -> Fig4Result:
     return Fig4Result(
         accelerate=_sample(
@@ -117,3 +127,12 @@ def _run_fig4(step_ms: float = 2.0) -> Fig4Result:
             "decelerate", DecelerateInterpolator(), TOAST_ANIMATION_DURATION, step_ms
         ),
     )
+
+
+def _render_fig4(result: Fig4Result) -> str:
+    acc100 = result.accelerate.completeness_at(100.0)
+    dec100 = result.decelerate.completeness_at(100.0)
+    return (
+        f"- fade-out (Accelerate) at 100 ms: {acc100:.1f}% gone (slow start)\n"
+        f"- fade-in (Decelerate) at 100 ms: {dec100:.1f}% shown "
+        "(fast start)\n\n")

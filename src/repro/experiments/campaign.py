@@ -51,7 +51,7 @@ from .aggregate import (
     ShardOutcome,
     default_trial_metrics,
 )
-from .config import FULL, QUICK, SMOKE, ExperimentScale, resolve_jobs
+from .config import SCALES, ExperimentScale, resolve_jobs
 from .engine import ScenarioMatrix, TrialSpec
 from .parallel import unit_scope
 from .resilience import (
@@ -443,9 +443,6 @@ def run_campaign(
 # Matrix specs (the CLI's JSON input)
 # ---------------------------------------------------------------------------
 
-_SCALES = {"full": FULL, "quick": QUICK, "smoke": SMOKE}
-
-
 def matrix_from_spec(spec: Mapping[str, Any]) -> ScenarioMatrix:
     """Build a :class:`ScenarioMatrix` from a JSON-shaped mapping.
 
@@ -483,11 +480,11 @@ def matrix_from_spec(spec: Mapping[str, Any]) -> ScenarioMatrix:
 
     scale_name = str(spec.get("scale", "quick")).lower()
     try:
-        scale = _SCALES[scale_name]
+        scale = SCALES[scale_name]
     except KeyError:
         raise ValueError(
             f"unknown scale {scale_name!r}; valid: "
-            f"{', '.join(sorted(_SCALES))}") from None
+            f"{', '.join(sorted(SCALES))}") from None
     if "seed" in spec:
         scale = scale.with_seed(int(spec["seed"]))
     if "faults" in spec:

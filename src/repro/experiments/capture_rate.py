@@ -125,6 +125,15 @@ def _run_fig7(
     return Fig7Result(stats=tuple(stats), paper_means=tuple(FIG7_PAPER_MEANS))
 
 
+def _render_fig7(result: Fig7Result) -> str:
+    rows = "".join(
+        f"| {stats.attacking_window_ms:.0f} | {stats.mean:.1f} | "
+        f"{paper:.1f} |\n"
+        for stats, paper in zip(result.stats, result.paper_means))
+    return (f"| D (ms) | measured mean % | paper mean % |\n|---|---|---|\n"
+            f"{rows}\n")
+
+
 def _run_fig8(
     scale: ExperimentScale = QUICK,
     durations: Sequence[float] = FIG7_DURATIONS,
@@ -158,3 +167,14 @@ def _run_fig8(
                 series.append(sum(rates) / len(rates))
             by_version[version] = tuple(series)
     return Fig8Result(durations=tuple(durations), by_version=by_version)
+
+
+def _render_fig8(result: Fig8Result) -> str:
+    header = ("| version | "
+              + " | ".join(f"{d:.0f}" for d in result.durations) + " |\n")
+    rule = "|---|" + "---|" * len(result.durations) + "\n"
+    rows = "".join(
+        f"| Android {version}.x | "
+        + " | ".join(f"{v:.1f}" for v in series) + " |\n"
+        for version, series in sorted(result.by_version.items()))
+    return f"{header}{rule}{rows}\n"

@@ -105,6 +105,9 @@ SMOKE = ExperimentScale(
     toast_observation_ms=8_000.0,
 )
 
+#: The named presets, by the name the CLI and matrix specs accept.
+SCALES = {"smoke": SMOKE, "quick": QUICK, "full": FULL}
+
 #: Attacking windows evaluated in Fig. 7 / Fig. 8 (ms).
 FIG7_DURATIONS = (50.0, 75.0, 100.0, 125.0, 150.0, 175.0, 200.0)
 

@@ -45,3 +45,14 @@ def _run_corpus_study(scale: ExperimentScale = QUICK) -> CorpusStudyResult:
         scaled_to_paper=measured.scaled_to(PAPER_CORPUS_SIZE),
         paper=PrevalenceCounts.paper_reference(),
     )
+
+
+def _render_corpus_study(result: CorpusStudyResult) -> str:
+    scaled, paper = result.scaled_to_paper, result.paper
+    return ("| metric | measured (scaled) | paper |\n|---|---|---|\n"
+            f"| SAW + accessibility | {scaled.saw_and_accessibility} | "
+            f"{paper.saw_and_accessibility} |\n"
+            f"| addView+removeView+SAW | {scaled.addremove_and_saw} | "
+            f"{paper.addremove_and_saw} |\n"
+            f"| customized toast | {scaled.custom_toast} | "
+            f"{paper.custom_toast} |\n\n")

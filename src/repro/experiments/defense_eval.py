@@ -147,6 +147,15 @@ def _run_ipc_defense(
     )
 
 
+def _render_ipc_defense(result: IpcDefenseResult) -> str:
+    latency = result.median_detection_latency_ms or float("nan")
+    return (f"- IPC detector: detection rate {result.detection_rate * 100:.0f}%, "
+            f"median latency {latency:.0f} ms, "
+            f"false positives {result.false_positives}/"
+            f"{result.benign_apps_observed}, overhead "
+            f"{result.monitor_overhead_ms_per_txn * 1000:.1f} µs/transaction\n")
+
+
 # ---------------------------------------------------------------------------
 # Enhanced notification defense (Section VII-B)
 # ---------------------------------------------------------------------------
@@ -255,6 +264,12 @@ def _run_notification_defense(
     )
 
 
+def _render_notification_defense(result: NotificationDefenseResult) -> str:
+    return (f"- enhanced notification (t={result.hide_delay_ms:.0f} ms): "
+            f"effective on all trials: {result.all_effective} "
+            f"(hides suppressed: {result.hides_suppressed})\n")
+
+
 # ---------------------------------------------------------------------------
 # Toast spacing defense (Section VII-B, toast half)
 # ---------------------------------------------------------------------------
@@ -281,3 +296,10 @@ def _run_toast_defense(
             without_defense=_run_toast_continuity(scale, inter_toast_gap_ms=0.0),
             with_defense=_run_toast_continuity(scale, inter_toast_gap_ms=gap_ms),
         )
+
+
+def _render_toast_defense(result: ToastDefenseResult) -> str:
+    return (f"- toast spacing: undefended min coverage "
+            f"{result.without_defense.min_switch_coverage * 100:.1f}% vs "
+            f"defended {result.with_defense.min_switch_coverage * 100:.1f}% "
+            f"(effective: {result.defense_effective})\n\n")

@@ -121,6 +121,23 @@ def _run_defense_tuning(
     return DefenseTuningResult(points=tuple(points))
 
 
+def _render_defense_tuning(result: DefenseTuningResult) -> str:
+    out = ["| min pairs | max gap (ms) | detection | latency (ms) | benign FP |\n"
+           "|---|---|---|---|---|\n"]
+    for p in result.points:
+        latency = (f"{p.mean_detection_latency_ms:.0f}"
+                   if p.mean_detection_latency_ms is not None else "--")
+        out.append(f"| {p.min_pairs} | {p.max_pair_gap_ms:.0f} | "
+                   f"{p.detection_rate * 100:.0f}% | {latency} | "
+                   f"{p.false_positive_rate * 100:.0f}% |\n")
+    best = result.best_point()
+    if best is not None:
+        out.append(f"\nrecommended rule: min_pairs={best.min_pairs}, "
+                   f"max_gap={best.max_pair_gap_ms:.0f} ms\n")
+    out.append("\n")
+    return "".join(out)
+
+
 def _tune_grid(
     points: List[RuleOperatingPoint],
     profile: DeviceProfile,

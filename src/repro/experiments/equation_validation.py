@@ -88,3 +88,12 @@ def _run_equation_validation(
         for d, (coverage, _) in zip(windows, runs)
     )
     return EquationValidationResult(device_key=profile.key, rows=rows)
+
+
+def _render_equation_validation(result: EquationValidationResult) -> str:
+    rows = "".join(
+        f"| {row.attacking_window_ms:.0f} | {row.predicted_ms:.1f} | "
+        f"{row.measured_ms:.1f} | {row.relative_error * 100:.1f}% |\n"
+        for row in result.rows)
+    return ("| D (ms) | predicted (ms) | measured (ms) | error |\n"
+            f"|---|---|---|---|\n{rows}\n")

@@ -250,3 +250,19 @@ def _run_noise_sensitivity(
         points=tuple(points),
         baseline_capture_rate=baseline_rate,
     )
+
+
+def _render_noise_sensitivity(result: NoiseSensitivityResult) -> str:
+    out = [f"Base profile `{result.base_profile}` swept at D = "
+           f"{result.attacking_window_ms:.0f} ms; no-fault baseline capture "
+           f"rate {result.baseline_capture_rate:.1f}%.\n\n",
+           "| factor | capture % | adaptive % | Tmis (ms) | gaps | "
+           "recall | precision |\n|---|---|---|---|---|---|---|\n"]
+    for p in result.points:
+        out.append(f"| {p.factor:g} | {p.capture_rate:.1f} | "
+                   f"{p.adaptive_capture_rate:.1f} | {p.tmis_ms:.1f} | "
+                   f"{p.gap_count} | {p.detector_recall * 100:.0f}% | "
+                   f"{p.detector_precision * 100:.0f}% |\n")
+    out.append(f"\ncapture-rate degradation monotonic: "
+               f"{result.degradation_is_monotonic}\n")
+    return "".join(out)

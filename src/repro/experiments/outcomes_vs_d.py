@@ -84,3 +84,14 @@ def _run_fig6(
         published_upper_bound_d=profile.published_upper_bound_d,
         outcomes=outcomes,
     )
+
+
+def _fig6_heading(result: Optional[Fig6Result]) -> str:
+    suffix = f" ({result.device_key})" if result is not None else ""
+    return f"Fig. 6 — notification outcomes vs D{suffix}"
+
+
+def _render_fig6(result: Fig6Result) -> str:
+    rows = "".join(f"| {d:.0f} | {outcome.label} |\n"
+                   for d, outcome in result.outcomes)
+    return f"| D (ms) | outcome |\n|---|---|\n{rows}\n"

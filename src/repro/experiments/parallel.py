@@ -1,9 +1,11 @@
-"""Parallel experiment execution with deterministic seed partitioning.
+"""The experiment registry, its worker entry point and its result cache.
 
-The reproduction suite is ~20 independent experiments. This module holds
-the single source of truth for that set (:data:`EXPERIMENTS`), and runs it
-either in-process (``jobs=1``, the serial reference implementation) or
-fanned out over a :class:`concurrent.futures.ProcessPoolExecutor`.
+The reproduction suite is 21 independent experiments. This module holds
+the single source of truth for that set (:data:`EXPERIMENTS`): each row
+names the experiment, its runner, and its report section's heading and
+renderer. :func:`~repro.experiments.runner.run_all` runs the set either
+in-process (``jobs=1``, the serial reference implementation) or fanned
+out over worker processes.
 
 Three properties make ``jobs=N`` bit-identical to ``jobs=1``:
 
@@ -15,9 +17,10 @@ Three properties make ``jobs=N`` bit-identical to ``jobs=1``:
 * **Pure workers** — experiment functions only read their scale argument;
   results are plain dataclasses that pickle losslessly (asserted by
   ``tests/experiments/test_parallel_determinism.py``).
-* **Stable assembly** — results are keyed by experiment name and written
-  into :class:`~repro.experiments.runner.AllResults` fields by name, never
-  by completion order.
+* **Stable assembly** — :func:`~repro.experiments.runner.run_all` keys
+  each result by experiment name in :attr:`AllResults.results
+  <repro.experiments.runner.AllResults.results>` and orders that mapping
+  by this registry, never by completion order.
 
 The same ``(name, scale)`` key also addresses an optional on-disk result
 cache, so a repeated ``run_all`` invocation only re-runs experiments whose
@@ -48,46 +51,60 @@ import os
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import (
+    Any, Callable, Dict, Iterator, Optional, Tuple, Union, get_type_hints,
+)
 
 from ..obs.context import use_metrics
 from ..obs.metrics import MetricsRegistry
 from ..serialization import SerializableMixin
 from ..sim.faults import use_default_profile
 from ..storage.envelope import EnvelopeCache
-from .animation_curves import _run_fig2, _run_fig4
-from .capture_rate import _run_fig7, _run_fig8
-from .config import QUICK, ExperimentScale, resolve_jobs
-from .corpus_study import _run_corpus_study
+from .animation_curves import _render_fig2, _render_fig4, _run_fig2, _run_fig4
+from .capture_rate import _render_fig7, _render_fig8, _run_fig7, _run_fig8
+from .config import QUICK, ExperimentScale
+from .corpus_study import _render_corpus_study, _run_corpus_study
 from .defense_eval import (
+    _render_ipc_defense,
+    _render_notification_defense,
+    _render_toast_defense,
     _run_ipc_defense,
     _run_notification_defense,
     _run_toast_defense,
 )
-from .defense_tuning import _run_defense_tuning
+from .defense_tuning import _render_defense_tuning, _run_defense_tuning
 from .engine import TrialExecutor, use_executor
-from .equation_validation import _run_equation_validation
-from .noise_sensitivity import _run_noise_sensitivity
-from .outcomes_vs_d import _run_fig6
-from .password_study import _run_stealthiness, _run_table3
-from .real_world_apps import _run_table4
-from .resilience import (
-    CACHE_REJECTS_METRIC,
-    DEADLINE_METRIC,
-    DEFAULT_POLICY,
-    FAILURES_METRIC,
-    RETRIES_METRIC,
-    ExperimentFailure,
-    RunJournal,
-    RunPolicy,
-    SupervisedTask,
-    Supervisor,
-    run_supervised,
+from .equation_validation import (
+    _render_equation_validation,
+    _run_equation_validation,
 )
-from .supplementary import _run_fig7_with_cis, _run_table3_by_version
-from .toast_continuity import _run_toast_continuity
-from .trigger_comparison import _run_trigger_comparison
-from .upper_bound import _run_load_impact, _run_table2
+from .noise_sensitivity import _render_noise_sensitivity, _run_noise_sensitivity
+from .outcomes_vs_d import _fig6_heading, _render_fig6, _run_fig6
+from .password_study import (
+    _render_stealthiness,
+    _render_table3,
+    _run_stealthiness,
+    _run_table3,
+)
+from .real_world_apps import _render_table4, _run_table4
+from .resilience import CACHE_REJECTS_METRIC
+from .supplementary import (
+    _render_fig7_with_cis,
+    _render_table3_by_version,
+    _run_fig7_with_cis,
+    _run_table3_by_version,
+)
+from .toast_continuity import _render_toast_continuity, _run_toast_continuity
+from .trigger_comparison import (
+    _render_trigger_comparison,
+    _run_trigger_comparison,
+)
+from .upper_bound import (
+    _render_load_impact,
+    _render_table2,
+    _run_load_impact,
+    _run_table2,
+)
 
 #: Bump when a change to experiment code invalidates previously cached
 #: results (the cache key has no way to see code changes). Version 4:
@@ -99,12 +116,19 @@ CACHE_VERSION = 4
 class ExperimentSpec:
     """One independently runnable experiment of the reproduction suite."""
 
-    #: ``AllResults`` field name; also the seed-derivation / cache key.
+    #: ``AllResults.results`` key; also the seed-derivation / cache key.
     name: str
     #: Human-readable progress label (matches the serial runner's log).
     title: str
     #: Module-level experiment function (must pickle by qualified name).
+    #: Its return annotation is the experiment's result type.
     runner: Callable
+    #: Report section heading, or a function of the result (``None`` when
+    #: the experiment failed) returning it. Consecutive rows with the same
+    #: heading share one section.
+    heading: Union[str, Callable[[Any], str]]
+    #: Renders a result as its report section's markdown body.
+    render: Callable[[Any], str]
     #: Whether ``runner`` accepts an :class:`ExperimentScale`.
     takes_scale: bool = True
 
@@ -114,46 +138,87 @@ class ExperimentSpec:
             return self.runner(**params)
         return self.runner(scale.for_experiment(self.name), **params)
 
+    @property
+    def result_type(self) -> type:
+        """The result dataclass, read off ``runner``'s return annotation."""
+        return get_type_hints(self.runner)["return"]
 
-#: Every experiment of the suite, in the serial runner's historical order.
+    def section_heading(self, result: Any) -> str:
+        if callable(self.heading):
+            return self.heading(result)
+        return self.heading
+
+
+#: The three §VII defenses report under one section.
+_DEFENSES = "Defenses (Section VII)"
+
+
+#: Every experiment of the suite, in the serial runner's historical order
+#: (also the report's section order).
 EXPERIMENTS: Tuple[ExperimentSpec, ...] = (
-    ExperimentSpec("fig2", "Fig 2: notification slide-in curve",
-                   _run_fig2, takes_scale=False),
-    ExperimentSpec("fig4", "Fig 4: toast fade curves",
-                   _run_fig4, takes_scale=False),
-    ExperimentSpec("fig6", "Fig 6: notification outcomes vs D",
-                   _run_fig6, takes_scale=False),
+    ExperimentSpec("fig2", "Fig 2: notification slide-in curve", _run_fig2,
+                   "Fig. 2 — notification slide-in curve", _render_fig2,
+                   takes_scale=False),
+    ExperimentSpec("fig4", "Fig 4: toast fade curves", _run_fig4,
+                   "Fig. 4 — toast fade curves", _render_fig4,
+                   takes_scale=False),
+    ExperimentSpec("fig6", "Fig 6: notification outcomes vs D", _run_fig6,
+                   _fig6_heading, _render_fig6, takes_scale=False),
     ExperimentSpec("table2", "Table II: per-device upper bound of D",
-                   _run_table2),
-    ExperimentSpec("load_impact", "Load impact", _run_load_impact),
-    ExperimentSpec("fig7", "Fig 7: capture rate vs D", _run_fig7),
+                   _run_table2, "Table II — upper boundary of D",
+                   _render_table2),
+    ExperimentSpec("load_impact", "Load impact", _run_load_impact,
+                   "Load impact (Section VI-B)", _render_load_impact),
+    ExperimentSpec("fig7", "Fig 7: capture rate vs D", _run_fig7,
+                   "Fig. 7 — capture rate vs D", _render_fig7),
     ExperimentSpec("fig8", "Fig 8: capture rate by Android version",
-                   _run_fig8),
-    ExperimentSpec("table3", "Table III: password stealing", _run_table3),
-    ExperimentSpec("table4", "Table IV: real-world apps", _run_table4),
-    ExperimentSpec("stealthiness", "Stealthiness study", _run_stealthiness),
+                   _run_fig8, "Fig. 8 — capture rate by Android version",
+                   _render_fig8),
+    ExperimentSpec("table3", "Table III: password stealing", _run_table3,
+                   "Table III — password stealing", _render_table3),
+    ExperimentSpec("table4", "Table IV: real-world apps", _run_table4,
+                   "Table IV — real-world apps", _render_table4),
+    ExperimentSpec("stealthiness", "Stealthiness study", _run_stealthiness,
+                   "Stealthiness (Section VI-C3)", _render_stealthiness),
     ExperimentSpec("toast_continuity", "Toast continuity",
-                   _run_toast_continuity),
-    ExperimentSpec("corpus", "Corpus prevalence study", _run_corpus_study),
-    ExperimentSpec("defense_ipc", "Defense: IPC detector", _run_ipc_defense),
+                   _run_toast_continuity, "Toast continuity (Section IV)",
+                   _render_toast_continuity),
+    ExperimentSpec("corpus", "Corpus prevalence study", _run_corpus_study,
+                   "Corpus prevalence (Section VI-C2, scaled to 890,855 "
+                   "apps)", _render_corpus_study),
+    ExperimentSpec("defense_ipc", "Defense: IPC detector", _run_ipc_defense,
+                   _DEFENSES, _render_ipc_defense),
     ExperimentSpec("defense_notification", "Defense: enhanced notification",
-                   _run_notification_defense),
+                   _run_notification_defense, _DEFENSES,
+                   _render_notification_defense),
     ExperimentSpec("defense_toast", "Defense: toast spacing",
-                   _run_toast_defense),
+                   _run_toast_defense, _DEFENSES, _render_toast_defense),
     ExperimentSpec("equation_validation", "Eq. (2) validation",
-                   _run_equation_validation),
+                   _run_equation_validation,
+                   "Eq. (2) validation (Section III-D)",
+                   _render_equation_validation),
     ExperimentSpec("defense_tuning", "Defense: decision-rule tuning",
-                   _run_defense_tuning),
+                   _run_defense_tuning,
+                   "IPC decision-rule tuning (Section VII-A, technical "
+                   "report)", _render_defense_tuning),
     ExperimentSpec("trigger_comparison", "Trigger-channel comparison",
-                   _run_trigger_comparison),
+                   _run_trigger_comparison,
+                   "Trigger channels (Section VI-C2 note)",
+                   _render_trigger_comparison),
     ExperimentSpec("table3_by_version",
                    "Supplementary: Table III by version",
-                   _run_table3_by_version),
+                   _run_table3_by_version,
+                   "Supplementary: password stealing by Android version",
+                   _render_table3_by_version),
     ExperimentSpec("fig7_cis", "Supplementary: Fig 7 confidence intervals",
-                   _run_fig7_with_cis),
+                   _run_fig7_with_cis,
+                   "Supplementary: Fig. 7 with 95% bootstrap CIs",
+                   _render_fig7_with_cis),
     ExperimentSpec("noise_sensitivity",
                    "Noise sensitivity: faults vs capture rate / Tmis",
-                   _run_noise_sensitivity),
+                   _run_noise_sensitivity,
+                   "Noise sensitivity (fault injection)",
+                   _render_noise_sensitivity),
 )
 
 _SPECS: Dict[str, ExperimentSpec] = {s.name: s for s in EXPERIMENTS}
@@ -361,208 +426,3 @@ class ResultCache(EnvelopeCache):
         """Persist one result; ``False`` means the write degraded to a
         miss (the run carries on, the entry recomputes next time)."""
         return super().store(self.key(name, scale), result)
-
-
-# ---------------------------------------------------------------------------
-# Supervised execution
-# ---------------------------------------------------------------------------
-
-ProgressCallback = Callable[[int, int, ExperimentTiming], None]
-
-
-@dataclass(frozen=True)
-class RunOutcome:
-    """Everything one supervised ``run_experiments`` pass produced."""
-
-    #: Successful results keyed by experiment name (failed ones absent).
-    results: Dict[str, object]
-    #: Per-experiment accounting in registry order (failures included).
-    timings: Tuple[ExperimentTiming, ...]
-    #: ``ExperimentMetrics`` tuple when metrics were collected, else None.
-    metrics: Optional[Tuple]
-    #: Permanent failures in registry order (empty on a clean run).
-    failures: Tuple[ExperimentFailure, ...] = ()
-
-
-def run_experiments(
-    scale: ExperimentScale = QUICK,
-    *,
-    jobs: int = 1,
-    cache_dir: Optional[Path] = None,
-    verbose: bool = False,
-    progress: Optional[ProgressCallback] = None,
-    collect_metrics: bool = False,
-    profile_dir: Optional[Path] = None,
-    policy: Optional[RunPolicy] = None,
-    journal: Optional[RunJournal] = None,
-) -> RunOutcome:
-    """Run every experiment under supervision; return a :class:`RunOutcome`.
-
-    ``jobs=1`` runs in-process and is the reference implementation;
-    ``jobs=N`` fans out over N worker processes; ``jobs=0`` means one per
-    core. Timings come back in registry order regardless of completion
-    order.
-
-    ``policy`` governs retries, deadlines and failure semantics (the
-    default is inert: one attempt, record failures, keep going). A worker
-    exception — or the whole process pool breaking — costs only that
-    experiment's attempts: the pool is rebuilt, surviving work is
-    re-submitted, and the failure is recorded as an
-    :class:`ExperimentFailure` on the outcome. ``journal`` checkpoints
-    every completion into a run directory so an interrupted run can be
-    resumed, skipping finished experiments.
-
-    With ``collect_metrics`` each experiment runs under its own
-    :class:`~repro.obs.metrics.MetricsRegistry` and ``outcome.metrics`` is
-    a tuple of :class:`~repro.obs.metrics.ExperimentMetrics`: one snapshot
-    per freshly-run experiment (cache hits carry no metrics) plus a
-    synthetic ``runner`` entry with per-experiment wall gauges, per-worker
-    busy/utilization gauges and the supervision counters
-    (``runner_retries_total``, ``runner_failures_total``,
-    ``runner_deadline_exceeded_total``, ``cache_integrity_rejects_total``).
-    Metrics never feed back into experiment code, so results are
-    bit-identical either way. ``profile_dir`` additionally runs each
-    experiment under :mod:`cProfile`, dumping ``<name>.prof`` files.
-    """
-    jobs = resolve_jobs(jobs)
-    cache = ResultCache(cache_dir) if cache_dir is not None else None
-    supervisor = Supervisor(policy or DEFAULT_POLICY, scale.seed)
-
-    results: Dict[str, object] = {}
-    timings: Dict[str, ExperimentTiming] = {}
-    sample_sets: Dict[str, tuple] = {}
-    busy_by_pid: Dict[int, float] = {}
-    done = 0
-    total = len(EXPERIMENTS)
-    wall_start = time.perf_counter()
-
-    def record(name: str, result, seconds: float, cached: bool,
-               attempts: int = 1) -> None:
-        nonlocal done
-        results[name] = result
-        timing = ExperimentTiming(name=name, seconds=seconds, cached=cached,
-                                  attempts=attempts)
-        timings[name] = timing
-        done += 1
-        if verbose:
-            spec = _SPECS[name]
-            suffix = "cache hit" if cached else f"{seconds:.2f}s"
-            print(f"[{scale.name}] [{done:2d}/{total}] {spec.title} "
-                  f"({suffix})", flush=True)
-        if progress is not None:
-            progress(done, total, timing)
-
-    def record_run(name: str, result, seconds: float, samples, pid: int,
-                   attempts: int = 1) -> None:
-        if cache is not None:
-            cache.store(name, scale, result)
-        if journal is not None:
-            journal.store(name, result)
-        if samples is not None:
-            sample_sets[name] = samples
-        busy_by_pid[pid] = busy_by_pid.get(pid, 0.0) + seconds
-        record(name, result, seconds, cached=False, attempts=attempts)
-
-    def record_failure(failure: ExperimentFailure) -> None:
-        nonlocal done
-        if journal is not None:
-            journal.store_failure(failure)
-        timing = ExperimentTiming(
-            name=failure.name, seconds=failure.elapsed_seconds, cached=False,
-            attempts=failure.attempts, failed=True)
-        timings[failure.name] = timing
-        done += 1
-        if verbose:
-            spec = _SPECS[failure.name]
-            print(f"[{scale.name}] [{done:2d}/{total}] {spec.title} "
-                  f"(FAILED: {failure.error})", flush=True)
-        if progress is not None:
-            progress(done, total, timing)
-
-    pending: List[ExperimentSpec] = []
-    for spec in EXPERIMENTS:
-        hit = journal.load(spec.name) if journal is not None else None
-        if hit is not None:
-            # Journaled completions also warm the cache so a later
-            # cache-only run sees them.
-            if cache is not None:
-                cache.store(spec.name, scale, hit)
-            record(spec.name, hit, 0.0, cached=True)
-            continue
-        hit = cache.load(spec.name, scale) if cache is not None else None
-        if hit is not None:
-            if journal is not None:
-                journal.store(spec.name, hit)
-            record(spec.name, hit, 0.0, cached=True)
-        else:
-            pending.append(spec)
-
-    run_supervised(
-        [SupervisedTask(name=spec.name, fn=_execute_one,
-                        args=(spec.name, scale, collect_metrics, profile_dir))
-         for spec in pending],
-        supervisor,
-        jobs=jobs,
-        on_success=lambda task, payload, attempt, seconds:
-            record_run(*payload, attempts=attempt),
-        on_failure=record_failure,
-    )
-
-    failures = tuple(supervisor.failures[spec.name] for spec in EXPERIMENTS
-                     if spec.name in supervisor.failures)
-    ordered = tuple(timings[spec.name] for spec in EXPERIMENTS)
-    if not collect_metrics:
-        return RunOutcome(results=results, timings=ordered, metrics=None,
-                          failures=failures)
-
-    metrics = _assemble_metrics(
-        sample_sets, ordered, busy_by_pid,
-        wall_seconds=time.perf_counter() - wall_start,
-        supervisor=supervisor,
-        cache_rejects=cache.integrity_rejects if cache is not None else 0,
-    )
-    return RunOutcome(results=results, timings=ordered, metrics=metrics,
-                      failures=failures)
-
-
-def _assemble_metrics(
-    sample_sets: Dict[str, tuple],
-    timings: Tuple[ExperimentTiming, ...],
-    busy_by_pid: Dict[int, float],
-    wall_seconds: float,
-    supervisor: Supervisor,
-    cache_rejects: int,
-) -> Tuple:
-    """Label per-experiment snapshots and add the runner's own series.
-
-    Workers are numbered by sorted pid so the labels are stable for one
-    run but carry no machine-specific meaning across runs. Supervision
-    counters are always registered (at zero on a clean run) so exports
-    and CI assertions can rely on their presence.
-    """
-    from ..obs.metrics import ExperimentMetrics, MetricsRegistry
-
-    per_experiment = tuple(
-        ExperimentMetrics(name=spec.name, samples=sample_sets[spec.name])
-        for spec in EXPERIMENTS if spec.name in sample_sets
-    )
-    runner = MetricsRegistry()
-    for timing in timings:
-        if not timing.cached and not timing.failed:
-            runner.gauge("runner_experiment_wall_seconds",
-                         {"experiment": timing.name}).set(timing.seconds)
-    for worker, pid in enumerate(sorted(busy_by_pid)):
-        busy = busy_by_pid[pid]
-        runner.gauge("runner_worker_busy_seconds",
-                     {"worker": str(worker)}).set(busy)
-        runner.gauge("runner_worker_utilization",
-                     {"worker": str(worker)}).set(
-            busy / wall_seconds if wall_seconds > 0 else 0.0)
-    runner.gauge("runner_wall_seconds").set(wall_seconds)
-    runner.counter(RETRIES_METRIC).inc(supervisor.retries)
-    runner.counter(FAILURES_METRIC).inc(len(supervisor.failures))
-    runner.counter(DEADLINE_METRIC).inc(supervisor.deadline_exceeded)
-    runner.counter(CACHE_REJECTS_METRIC).inc(cache_rejects)
-    return per_experiment + (
-        ExperimentMetrics(name="runner", samples=runner.samples()),
-    )

@@ -129,6 +129,20 @@ def _run_table3(
     return Table3Result(rows=tuple(rows))
 
 
+def _render_table3(result: Table3Result) -> str:
+    out = ["| length | success % (paper) | length err | capitalization err | "
+           "wrong key err | attempts |\n|---|---|---|---|---|---|\n"]
+    for row in result.rows:
+        paper = result.paper_reference.get(row.length, {})
+        out.append(
+            f"| {row.length} | {row.success_rate:.1f} "
+            f"({paper.get('success_rate', '—')}) | {row.length_errors} | "
+            f"{row.capitalization_errors} | {row.wrong_key_errors} | "
+            f"{row.attempts} |\n")
+    out.append("\n")
+    return "".join(out)
+
+
 # ---------------------------------------------------------------------------
 # Stealthiness (Section VI-C3)
 # ---------------------------------------------------------------------------
@@ -199,3 +213,10 @@ def _run_stealthiness(
         reported_lag=reported_lag,
         noticed_anything_without_malware=control_noticed,
     )
+
+
+def _render_stealthiness(result: StealthinessResult) -> str:
+    return (f"- participants: {result.participants}\n"
+            f"- noticed the alert: {result.noticed_alert} (paper: 0)\n"
+            f"- noticed toast flicker: {result.noticed_flicker} (paper: 0)\n"
+            f"- reported lag: {result.reported_lag} (paper: 1/30)\n\n")

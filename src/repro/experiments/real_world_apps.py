@@ -87,3 +87,9 @@ def _run_table4(
                 )
             )
     return Table4Result(rows=tuple(rows))
+
+
+def _render_table4(result: Table4Result) -> str:
+    rows = "".join(f"| {row.app_name} | {row.version} | {row.marker} | "
+                   f"{row.trigger_path} |\n" for row in result.rows)
+    return f"| app | version | result | trigger |\n|---|---|---|---|\n{rows}\n"

@@ -180,7 +180,7 @@ DEFAULT_POLICY = RunPolicy()
 class ExperimentFailure(SerializableMixin):
     """One experiment's permanent failure, recorded instead of raised."""
 
-    #: Experiment (``AllResults`` field) name.
+    #: Experiment name (its ``AllResults.results`` key).
     name: str
     #: ``"exception"``, ``"deadline"``, ``"pool"`` (worker died and broke
     #: the process pool) or ``"poisoned"`` (worker returned a payload the

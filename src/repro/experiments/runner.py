@@ -1,92 +1,77 @@
 """One-shot experiment runner producing a paper-vs-measured report.
 
-``run_all`` executes every experiment at the requested scale and returns a
-result bundle; ``format_report`` renders it as the markdown used to update
-EXPERIMENTS.md. Examples and benches call the individual experiment
-functions directly.
+``run_all`` executes every experiment of
+:data:`~repro.experiments.parallel.EXPERIMENTS` at the requested scale and
+returns an :class:`AllResults` bundle; ``format_report`` renders it as the
+markdown used to update EXPERIMENTS.md. Neither lists the experiments: the
+registry rows carry each one's name, runner, result type (the runner's
+return annotation), report heading and renderer.
 
-Execution is delegated to :mod:`repro.experiments.parallel`: ``jobs=1``
-(the default) is the in-process serial reference path, ``jobs=N`` fans out
-over worker processes, and both derive each experiment's seed from the
-same stable ``(scale, experiment name)`` key — which is what makes the two
-paths produce field-for-field equal :class:`AllResults` (asserted by
-``tests/experiments/test_parallel_determinism.py``).
+``jobs=1`` (the default) is the in-process serial reference path,
+``jobs=N`` fans out over worker processes, and both derive each
+experiment's seed from the same stable ``(scale, experiment name)`` key —
+which is what makes the two paths produce equal :class:`AllResults`
+(asserted by ``tests/experiments/test_parallel_determinism.py``).
 
-Runs are *supervised* (PR 5): an experiment that fails permanently is
-recorded on :attr:`AllResults.failures` instead of aborting the suite, its
-result field stays ``None``, and ``format_report`` renders that section as
-explicitly FAILED — a 20/21 run still produces a usable report.
+Runs are *supervised*: an experiment that fails permanently is recorded on
+:attr:`AllResults.failures` instead of aborting the suite, it has no entry
+in :attr:`AllResults.results`, and ``format_report`` renders its section
+as explicitly FAILED — a 20/21 run still produces a usable report.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+import time
+from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Dict, Optional, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
-from ..devices.registry import DEVICES
 from ..obs.metrics import ExperimentMetrics
-from ..serialization import SerializableMixin
-from .animation_curves import Fig2Result, Fig4Result
-from .capture_rate import Fig7Result, Fig8Result
-from .config import ExperimentScale, QUICK
-from .corpus_study import CorpusStudyResult
-from .defense_tuning import DefenseTuningResult
-from .equation_validation import EquationValidationResult
-from .defense_eval import (
-    IpcDefenseResult,
-    NotificationDefenseResult,
-    ToastDefenseResult,
+from ..serialization import SerializableMixin, from_dict
+from .config import ExperimentScale, QUICK, resolve_jobs
+from .parallel import (
+    CACHE_VERSION,
+    EXPERIMENTS,
+    ExperimentSpec,
+    ExperimentTiming,
+    ResultCache,
+    _SPECS,
+    _execute_one,
+    experiment_spec,
 )
-from .noise_sensitivity import NoiseSensitivityResult
-from .outcomes_vs_d import Fig6Result
-from .password_study import StealthinessResult, Table3Result
-from .real_world_apps import Table4Result
-from .resilience import ExperimentFailure, RunJournal, RunPolicy
-from .toast_continuity import ToastContinuityResult
-from .supplementary import Fig7WithCisResult, Table3ByVersionResult
-from .trigger_comparison import TriggerComparisonResult
-from .parallel import ExperimentTiming
-from .upper_bound import LoadImpactResult, Table2Result
+from .resilience import (
+    CACHE_REJECTS_METRIC,
+    DEADLINE_METRIC,
+    DEFAULT_POLICY,
+    FAILURES_METRIC,
+    RETRIES_METRIC,
+    ExperimentFailure,
+    RunJournal,
+    RunPolicy,
+    SupervisedTask,
+    Supervisor,
+    run_supervised,
+)
 
 
 @dataclass(frozen=True)
 class AllResults(SerializableMixin):
     """Every reproduced table and figure from one run.
 
-    Result fields default to ``None`` so a supervised run whose
-    experiment failed permanently can still assemble: the failure record
-    lives on :attr:`failures` and the report renders the section as
-    FAILED instead of crashing.
+    ``results`` maps experiment name to result, in registry order; an
+    experiment that failed permanently has no entry, and its failure
+    record lives on :attr:`failures`. Registered names also read as
+    attributes (``results.<name>``), ``None`` for a failed experiment.
     """
 
     scale_name: str
-    fig2: Optional[Fig2Result] = None
-    fig4: Optional[Fig4Result] = None
-    fig6: Optional[Fig6Result] = None
-    table2: Optional[Table2Result] = None
-    load_impact: Optional[LoadImpactResult] = None
-    fig7: Optional[Fig7Result] = None
-    fig8: Optional[Fig8Result] = None
-    table3: Optional[Table3Result] = None
-    table4: Optional[Table4Result] = None
-    stealthiness: Optional[StealthinessResult] = None
-    toast_continuity: Optional[ToastContinuityResult] = None
-    corpus: Optional[CorpusStudyResult] = None
-    defense_ipc: Optional[IpcDefenseResult] = None
-    defense_notification: Optional[NotificationDefenseResult] = None
-    defense_toast: Optional[ToastDefenseResult] = None
-    equation_validation: Optional[EquationValidationResult] = None
-    defense_tuning: Optional[DefenseTuningResult] = None
-    trigger_comparison: Optional[TriggerComparisonResult] = None
-    table3_by_version: Optional[Table3ByVersionResult] = None
-    fig7_cis: Optional[Fig7WithCisResult] = None
-    noise_sensitivity: Optional[NoiseSensitivityResult] = None
+    #: Result per completed experiment, keyed by name, registry order.
+    results: Dict[str, Any] = field(default_factory=dict)
     #: Per-experiment wall-clock accounting (``ExperimentTiming`` tuples).
     #: Excluded from equality: a parallel run and a serial run of the same
     #: scale compare equal even though their wall times differ.
-    timings: Optional[Tuple["ExperimentTiming", ...]] = field(
+    timings: Optional[Tuple[ExperimentTiming, ...]] = field(
         default=None, compare=False, repr=False)
     #: Per-experiment metric snapshots (``ExperimentMetrics`` tuples) when
     #: the run collected metrics, else ``None``. Excluded from equality
@@ -96,15 +81,34 @@ class AllResults(SerializableMixin):
         default=None, compare=False, repr=False)
     #: Permanent :class:`ExperimentFailure` records, registry order.
     #: Excluded from equality (tracebacks and elapsed times vary); the
-    #: failed experiments' ``None`` result fields already make two runs
-    #: with different failures compare unequal.
+    #: failed experiments' missing ``results`` entries already make two
+    #: runs with different failures compare unequal.
     failures: Tuple[ExperimentFailure, ...] = field(
         default=(), compare=False, repr=False)
+
+    def __getattr__(self, name: str) -> Any:
+        # Only called when normal lookup fails. Resolving registered names
+        # alone keeps pickle/copy probes (``__setstate__``, or ``results``
+        # itself before it is set) raising AttributeError, not recursing.
+        if name in _SPECS:
+            return self.results.get(name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     @property
     def ok(self) -> bool:
         """True when every experiment produced a result."""
         return not self.failures
+
+    @classmethod
+    def from_dict(cls, data: Dict[str, Any]) -> "AllResults":
+        """Rebuild from :meth:`to_dict` output, decoding each result as
+        its experiment's result type."""
+        results = {
+            name: from_dict(experiment_spec(name).result_type, payload)
+            for name, payload in data.get("results", {}).items()
+        }
+        return replace(from_dict(cls, data), results=results)
 
 
 def run_all(
@@ -119,81 +123,196 @@ def run_all(
     run_dir: Optional[Path] = None,
     resume: bool = False,
 ) -> AllResults:
-    """Run the complete reproduction suite at one scale.
+    """Run the complete reproduction suite at one scale, supervised.
 
     Args:
         scale: experiment sizing preset (SMOKE/QUICK/FULL or custom).
         verbose: print per-experiment progress and wall times.
         jobs: worker processes; ``1`` is the serial reference path,
-            ``0`` means one per core. Any value yields identical results.
+            ``0`` means one per core. Any value yields identical results,
+            and timings come back in registry order regardless of
+            completion order.
         cache_dir: enable the on-disk result cache rooted here; ``None``
             disables caching.
-        collect_metrics: run every experiment under a metrics registry and
-            attach the snapshots as ``AllResults.metrics``. Metrics only
-            observe, so all result fields (and the formatted report) are
-            byte-identical with or without this flag.
+        collect_metrics: run every experiment under its own
+            :class:`~repro.obs.metrics.MetricsRegistry` and attach the
+            snapshots as ``AllResults.metrics``: one per freshly-run
+            experiment (cache hits carry none) plus a synthetic
+            ``runner`` entry with per-experiment wall gauges, per-worker
+            busy/utilization gauges and the supervision counters
+            (``runner_retries_total``, ``runner_failures_total``,
+            ``runner_deadline_exceeded_total``,
+            ``cache_integrity_rejects_total``). Metrics only observe, so
+            all results (and the formatted report) are byte-identical
+            with or without this flag.
         profile_dir: dump a cProfile ``<experiment>.prof`` per experiment
             into this directory.
         policy: supervision knobs (retries, deadlines, fail-fast). The
             default records failures and keeps going; it changes nothing
-            about a fault-free run.
+            about a fault-free run. A worker exception — or the whole
+            process pool breaking — costs only that experiment's
+            attempts: the pool is rebuilt, surviving work is
+            re-submitted, and the failure is recorded as an
+            :class:`ExperimentFailure` on the result.
         run_dir: journal every completion into this directory (``run.json``
             plus atomic per-experiment markers) so a crashed or killed run
             can be resumed.
         resume: reuse an existing ``run_dir`` journal, skipping the
             experiments it already holds; requires ``run_dir``.
     """
-    from .parallel import CACHE_VERSION, run_experiments
-
-    journal = None
     if resume and run_dir is None:
         raise ValueError("resume=True requires run_dir")
+    journal = None
     if run_dir is not None:
         opener = RunJournal.resume if resume else RunJournal.create
         journal = opener(run_dir, scale, CACHE_VERSION)
-    outcome = run_experiments(
-        scale, jobs=jobs, cache_dir=cache_dir, verbose=verbose,
-        collect_metrics=collect_metrics, profile_dir=profile_dir,
-        policy=policy, journal=journal,
+    jobs = resolve_jobs(jobs)
+    cache = ResultCache(cache_dir) if cache_dir is not None else None
+    supervisor = Supervisor(policy or DEFAULT_POLICY, scale.seed)
+
+    results: Dict[str, object] = {}
+    timings: Dict[str, ExperimentTiming] = {}
+    sample_sets: Dict[str, tuple] = {}
+    busy_by_pid: Dict[int, float] = {}
+    done = 0
+    total = len(EXPERIMENTS)
+    wall_start = time.perf_counter()
+
+    def log(name: str, note: str) -> None:
+        nonlocal done
+        done += 1
+        if verbose:
+            print(f"[{scale.name}] [{done:2d}/{total}] {_SPECS[name].title} "
+                  f"({note})", flush=True)
+
+    def record(name: str, result, seconds: float, cached: bool,
+               attempts: int = 1) -> None:
+        results[name] = result
+        timings[name] = ExperimentTiming(name=name, seconds=seconds,
+                                         cached=cached, attempts=attempts)
+        log(name, "cache hit" if cached else f"{seconds:.2f}s")
+
+    def record_run(name: str, result, seconds: float, samples, pid: int,
+                   attempts: int = 1) -> None:
+        if cache is not None:
+            cache.store(name, scale, result)
+        if journal is not None:
+            journal.store(name, result)
+        if samples is not None:
+            sample_sets[name] = samples
+        busy_by_pid[pid] = busy_by_pid.get(pid, 0.0) + seconds
+        record(name, result, seconds, cached=False, attempts=attempts)
+
+    def record_failure(failure: ExperimentFailure) -> None:
+        if journal is not None:
+            journal.store_failure(failure)
+        timings[failure.name] = ExperimentTiming(
+            name=failure.name, seconds=failure.elapsed_seconds, cached=False,
+            attempts=failure.attempts, failed=True)
+        log(failure.name, f"FAILED: {failure.error}")
+
+    pending: List[ExperimentSpec] = []
+    for spec in EXPERIMENTS:
+        hit = journal.load(spec.name) if journal is not None else None
+        if hit is not None:
+            # Journaled completions also warm the cache so a later
+            # cache-only run sees them.
+            if cache is not None:
+                cache.store(spec.name, scale, hit)
+            record(spec.name, hit, 0.0, cached=True)
+            continue
+        hit = cache.load(spec.name, scale) if cache is not None else None
+        if hit is not None:
+            if journal is not None:
+                journal.store(spec.name, hit)
+            record(spec.name, hit, 0.0, cached=True)
+        else:
+            pending.append(spec)
+
+    run_supervised(
+        [SupervisedTask(name=spec.name, fn=_execute_one,
+                        args=(spec.name, scale, collect_metrics, profile_dir))
+         for spec in pending],
+        supervisor,
+        jobs=jobs,
+        on_success=lambda task, payload, attempt, seconds:
+            record_run(*payload, attempts=attempt),
+        on_failure=record_failure,
     )
-    return AllResults(scale_name=scale.name, timings=outcome.timings,
-                      metrics=outcome.metrics, failures=outcome.failures,
-                      **outcome.results)
+
+    ordered = tuple(timings[spec.name] for spec in EXPERIMENTS)
+    metrics = None
+    if collect_metrics:
+        metrics = _assemble_metrics(
+            sample_sets, ordered, busy_by_pid,
+            wall_seconds=time.perf_counter() - wall_start,
+            supervisor=supervisor,
+            cache_rejects=cache.integrity_rejects if cache is not None else 0,
+        )
+    return AllResults(
+        scale_name=scale.name,
+        results={spec.name: results[spec.name] for spec in EXPERIMENTS
+                 if spec.name in results},
+        timings=ordered,
+        metrics=metrics,
+        failures=tuple(supervisor.failures[spec.name] for spec in EXPERIMENTS
+                       if spec.name in supervisor.failures),
+    )
+
+
+def _assemble_metrics(
+    sample_sets: Dict[str, tuple],
+    timings: Tuple[ExperimentTiming, ...],
+    busy_by_pid: Dict[int, float],
+    wall_seconds: float,
+    supervisor: Supervisor,
+    cache_rejects: int,
+) -> Tuple[ExperimentMetrics, ...]:
+    """Label per-experiment snapshots and add the runner's own series.
+
+    Workers are numbered by sorted pid so the labels are stable for one
+    run but carry no machine-specific meaning across runs. Supervision
+    counters are always registered (at zero on a clean run) so exports
+    and CI assertions can rely on their presence.
+    """
+    from ..obs.metrics import MetricsRegistry
+
+    per_experiment = tuple(
+        ExperimentMetrics(name=spec.name, samples=sample_sets[spec.name])
+        for spec in EXPERIMENTS if spec.name in sample_sets
+    )
+    runner = MetricsRegistry()
+    for timing in timings:
+        if not timing.cached and not timing.failed:
+            runner.gauge("runner_experiment_wall_seconds",
+                         {"experiment": timing.name}).set(timing.seconds)
+    for worker, pid in enumerate(sorted(busy_by_pid)):
+        busy = busy_by_pid[pid]
+        runner.gauge("runner_worker_busy_seconds",
+                     {"worker": str(worker)}).set(busy)
+        runner.gauge("runner_worker_utilization",
+                     {"worker": str(worker)}).set(
+            busy / wall_seconds if wall_seconds > 0 else 0.0)
+    runner.gauge("runner_wall_seconds").set(wall_seconds)
+    runner.counter(RETRIES_METRIC).inc(supervisor.retries)
+    runner.counter(FAILURES_METRIC).inc(len(supervisor.failures))
+    runner.counter(DEADLINE_METRIC).inc(supervisor.deadline_exceeded)
+    runner.counter(CACHE_REJECTS_METRIC).inc(cache_rejects)
+    return per_experiment + (
+        ExperimentMetrics(name="runner", samples=runner.samples()),
+    )
 
 
 # ---------------------------------------------------------------------------
 # Report rendering
 # ---------------------------------------------------------------------------
 
-def _section(
-    w: Callable[[str], None],
-    results: AllResults,
-    name: str,
-    failures: Dict[str, ExperimentFailure],
-    header: str,
-) -> bool:
-    """Write ``header``; render a FAILED block when ``name`` has no result.
-
-    Returns True when the caller should render the section body. Keeping
-    the happy path a plain header write preserves the byte-identical
-    golden rendering of a clean run.
-    """
-    w(header)
-    if getattr(results, name) is not None:
-        return True
-    failure = failures.get(name)
-    detail = (f" after {failure.attempts} attempt(s): {failure.error}"
-              if failure is not None else "")
-    w(f"**FAILED** — experiment `{name}` produced no result{detail}.\n\n")
-    return False
-
-
 def format_report(results: AllResults, include_timings: bool = False) -> str:
     """Render a markdown paper-vs-measured report.
 
-    Failed experiments render as explicitly FAILED sections (graceful
-    degradation); a clean run's rendering is byte-identical to the
-    pre-supervision format, which is what the golden snapshot pins.
+    One section per registry row, headed and rendered by that row; rows
+    sharing a heading share a section. A failed experiment renders an
+    explicit FAILED block in its place (graceful degradation).
     """
     failures = {f.name: f for f in results.failures}
     out = io.StringIO()
@@ -202,215 +321,27 @@ def format_report(results: AllResults, include_timings: bool = False) -> str:
 
     if failures:
         names = ", ".join(f"`{name}`" for name in failures)
-        w(f"> **Degraded run:** {len(failures)} of "
-          f"{len(results.timings or ()) or 21} experiments FAILED "
-          f"({names}); their sections below carry the failure detail.\n\n")
+        w(f"> **Degraded run:** {len(failures)} of {len(EXPERIMENTS)} "
+          f"experiments FAILED ({names}); their sections below carry the "
+          "failure detail.\n\n")
 
-    if _section(w, results, "fig2", failures,
-                "## Fig. 2 — notification slide-in curve\n\n"):
-        w(f"- completeness at 100 ms: {results.fig2.completeness_at_100ms:.1f}% "
-          "(paper: < 50%)\n")
-        w(f"- completeness at 10 ms: {results.fig2.completeness_at_10ms:.2f}% "
-          "(paper: ~0.17%)\n")
-        w(f"- pixels of a 72 px view at 10 ms: "
-          f"{results.fig2.pixels_at_10ms_of_72px_view} (paper: 0)\n\n")
-
-    if _section(w, results, "fig4", failures,
-                "## Fig. 4 — toast fade curves\n\n"):
-        acc100 = results.fig4.accelerate.completeness_at(100.0)
-        dec100 = results.fig4.decelerate.completeness_at(100.0)
-        w(f"- fade-out (Accelerate) at 100 ms: {acc100:.1f}% gone (slow start)\n")
-        w(f"- fade-in (Decelerate) at 100 ms: {dec100:.1f}% shown (fast start)\n\n")
-
-    fig6_suffix = (f" ({results.fig6.device_key})"
-                   if results.fig6 is not None else "")
-    if _section(w, results, "fig6", failures,
-                "## Fig. 6 — notification outcomes vs D"
-                f"{fig6_suffix}\n\n"):
-        w("| D (ms) | outcome |\n|---|---|\n")
-        for d, outcome in results.fig6.outcomes:
-            w(f"| {d:.0f} | {outcome.label} |\n")
-        w("\n")
-
-    if _section(w, results, "table2", failures,
-                "## Table II — upper boundary of D\n\n"):
-        w("| device | published (ms) | measured (ms) | error |\n|---|---|---|---|\n")
-        for row, profile in zip(results.table2.rows, DEVICES):
-            w(f"| {profile.key} | {row.published_upper_bound_d:.0f} | "
-              f"{row.measured_upper_bound_d:.0f} | {row.error_ms:+.0f} |\n")
-        w(f"\nmean abs error: {results.table2.mean_abs_error_ms:.1f} ms; "
-          f"version means: {results.table2.version_means()}\n\n")
-
-    if _section(w, results, "load_impact", failures,
-                "## Load impact (Section VI-B)\n\n"):
-        for count, bound in results.load_impact.bounds_by_load:
-            w(f"- {count} background apps: boundary {bound:.0f} ms\n")
-        w(f"- max shift: {results.load_impact.max_shift_ms:.1f} ms "
-          "(paper: negligible)\n\n")
-
-    if _section(w, results, "fig7", failures,
-                "## Fig. 7 — capture rate vs D\n\n"):
-        w("| D (ms) | measured mean % | paper mean % |\n|---|---|---|\n")
-        for stats, paper in zip(results.fig7.stats, results.fig7.paper_means):
-            w(f"| {stats.attacking_window_ms:.0f} | {stats.mean:.1f} | {paper:.1f} |\n")
-        w("\n")
-
-    if _section(w, results, "fig8", failures,
-                "## Fig. 8 — capture rate by Android version\n\n"):
-        w("| version | " + " | ".join(f"{d:.0f}" for d in results.fig8.durations) + " |\n")
-        w("|---|" + "---|" * len(results.fig8.durations) + "\n")
-        for version, series in sorted(results.fig8.by_version.items()):
-            w(f"| Android {version}.x | "
-              + " | ".join(f"{v:.1f}" for v in series) + " |\n")
-        w("\n")
-
-    if _section(w, results, "table3", failures,
-                "## Table III — password stealing\n\n"):
-        w("| length | success % (paper) | length err | capitalization err | "
-          "wrong key err | attempts |\n|---|---|---|---|---|---|\n")
-        for row in results.table3.rows:
-            paper = results.table3.paper_reference.get(row.length, {})
-            w(f"| {row.length} | {row.success_rate:.1f} "
-              f"({paper.get('success_rate', '—')}) | {row.length_errors} | "
-              f"{row.capitalization_errors} | {row.wrong_key_errors} | "
-              f"{row.attempts} |\n")
-        w("\n")
-
-    if _section(w, results, "table4", failures,
-                "## Table IV — real-world apps\n\n"):
-        w("| app | version | result | trigger |\n|---|---|---|---|\n")
-        for row in results.table4.rows:
-            w(f"| {row.app_name} | {row.version} | {row.marker} | "
-              f"{row.trigger_path} |\n")
-        w("\n")
-
-    if _section(w, results, "stealthiness", failures,
-                "## Stealthiness (Section VI-C3)\n\n"):
-        s = results.stealthiness
-        w(f"- participants: {s.participants}\n")
-        w(f"- noticed the alert: {s.noticed_alert} (paper: 0)\n")
-        w(f"- noticed toast flicker: {s.noticed_flicker} (paper: 0)\n")
-        w(f"- reported lag: {s.reported_lag} (paper: 1/30)\n\n")
-
-    if _section(w, results, "toast_continuity", failures,
-                "## Toast continuity (Section IV)\n\n"):
-        t = results.toast_continuity
-        w(f"- toasts shown: {t.toasts_shown}; max queue depth: "
-          f"{t.max_queue_depth_observed} (cap 50)\n")
-        w(f"- min switch coverage: {t.min_switch_coverage * 100:.1f}% "
-          f"(imperceptible: {t.imperceptible})\n")
-        w(f"- coverage >= 95% for {t.coverage_fraction_above_95 * 100:.1f}% "
-          "of the observation window\n\n")
-
-    if _section(w, results, "corpus", failures,
-                "## Corpus prevalence (Section VI-C2, scaled to 890,855 "
-                "apps)\n\n"):
-        c = results.corpus
-        w("| metric | measured (scaled) | paper |\n|---|---|---|\n")
-        w(f"| SAW + accessibility | {c.scaled_to_paper.saw_and_accessibility} | "
-          f"{c.paper.saw_and_accessibility} |\n")
-        w(f"| addView+removeView+SAW | {c.scaled_to_paper.addremove_and_saw} | "
-          f"{c.paper.addremove_and_saw} |\n")
-        w(f"| customized toast | {c.scaled_to_paper.custom_toast} | "
-          f"{c.paper.custom_toast} |\n\n")
-
-    # The defenses section aggregates three experiments; each line
-    # degrades independently so two surviving defenses still report.
-    w("## Defenses (Section VII)\n\n")
-    ipc = results.defense_ipc
-    if ipc is not None:
-        w(f"- IPC detector: detection rate {ipc.detection_rate * 100:.0f}%, "
-          f"median latency {ipc.median_detection_latency_ms or float('nan'):.0f} ms, "
-          f"false positives {ipc.false_positives}/{ipc.benign_apps_observed}, "
-          f"overhead {ipc.monitor_overhead_ms_per_txn * 1000:.1f} µs/transaction\n")
-    else:
-        w(f"- IPC detector: **FAILED**{_failure_note(failures, 'defense_ipc')}\n")
-    nd = results.defense_notification
-    if nd is not None:
-        w(f"- enhanced notification (t={nd.hide_delay_ms:.0f} ms): "
-          f"effective on all trials: {nd.all_effective} "
-          f"(hides suppressed: {nd.hides_suppressed})\n")
-    else:
-        w("- enhanced notification: **FAILED**"
-          f"{_failure_note(failures, 'defense_notification')}\n")
-    td = results.defense_toast
-    if td is not None:
-        w(f"- toast spacing: undefended min coverage "
-          f"{td.without_defense.min_switch_coverage * 100:.1f}% vs defended "
-          f"{td.with_defense.min_switch_coverage * 100:.1f}% "
-          f"(effective: {td.defense_effective})\n\n")
-    else:
-        w("- toast spacing: **FAILED**"
-          f"{_failure_note(failures, 'defense_toast')}\n\n")
-
-    if _section(w, results, "equation_validation", failures,
-                "## Eq. (2) validation (Section III-D)\n\n"):
-        w("| D (ms) | predicted (ms) | measured (ms) | error |\n|---|---|---|---|\n")
-        for row in results.equation_validation.rows:
-            w(f"| {row.attacking_window_ms:.0f} | {row.predicted_ms:.1f} | "
-              f"{row.measured_ms:.1f} | {row.relative_error * 100:.1f}% |\n")
-        w("\n")
-
-    if _section(w, results, "defense_tuning", failures,
-                "## IPC decision-rule tuning (Section VII-A, technical "
-                "report)\n\n"):
-        w("| min pairs | max gap (ms) | detection | latency (ms) | benign FP |\n")
-        w("|---|---|---|---|---|\n")
-        for p in results.defense_tuning.points:
-            latency = (f"{p.mean_detection_latency_ms:.0f}"
-                       if p.mean_detection_latency_ms is not None else "--")
-            w(f"| {p.min_pairs} | {p.max_pair_gap_ms:.0f} | "
-              f"{p.detection_rate * 100:.0f}% | {latency} | "
-              f"{p.false_positive_rate * 100:.0f}% |\n")
-        best = results.defense_tuning.best_point()
-        if best is not None:
-            w(f"\nrecommended rule: min_pairs={best.min_pairs}, "
-              f"max_gap={best.max_pair_gap_ms:.0f} ms\n")
-        w("\n")
-
-    if _section(w, results, "trigger_comparison", failures,
-                "## Trigger channels (Section VI-C2 note)\n\n"):
-        w("| channel | victim | launched | latency (ms) | stolen |\n")
-        w("|---|---|---|---|---|\n")
-        for t in results.trigger_comparison.trials:
-            latency = (f"{t.trigger_latency_ms:.1f}"
-                       if t.trigger_latency_ms is not None else "--")
-            w(f"| {t.channel} | {t.victim} | {t.launched} | {latency} | "
-              f"{t.derived_matches} |\n")
-        w("\n")
-
-    if _section(w, results, "table3_by_version", failures,
-                "## Supplementary: password stealing by Android version\n\n"):
-        w("| version | success | 95% CI | attempts |\n|---|---|---|---|\n")
-        for row in results.table3_by_version.rows:
-            w(f"| Android {row.version}.x | {row.success_rate:.1f}% | "
-              f"[{row.ci.lower * 100:.1f}, {row.ci.upper * 100:.1f}]% | "
-              f"{row.attempts} |\n")
-        w("\n")
-
-    if _section(w, results, "fig7_cis", failures,
-                "## Supplementary: Fig. 7 with 95% bootstrap CIs\n\n"):
-        w("| D (ms) | mean % | CI |\n|---|---|---|\n")
-        for row in results.fig7_cis.rows:
-            w(f"| {row.attacking_window_ms:.0f} | {row.mean:.1f} | "
-              f"[{row.ci.lower:.1f}, {row.ci.upper:.1f}] |\n")
-        w("\n")
-
-    if _section(w, results, "noise_sensitivity", failures,
-                "## Noise sensitivity (fault injection)\n\n"):
-        ns = results.noise_sensitivity
-        w(f"Base profile `{ns.base_profile}` swept at D = "
-          f"{ns.attacking_window_ms:.0f} ms; no-fault baseline capture rate "
-          f"{ns.baseline_capture_rate:.1f}%.\n\n")
-        w("| factor | capture % | adaptive % | Tmis (ms) | gaps | "
-          "recall | precision |\n|---|---|---|---|---|---|---|\n")
-        for p in ns.points:
-            w(f"| {p.factor:g} | {p.capture_rate:.1f} | "
-              f"{p.adaptive_capture_rate:.1f} | {p.tmis_ms:.1f} | "
-              f"{p.gap_count} | {p.detector_recall * 100:.0f}% | "
-              f"{p.detector_precision * 100:.0f}% |\n")
-        w(f"\ncapture-rate degradation monotonic: "
-          f"{ns.degradation_is_monotonic}\n")
+    previous = None
+    for spec in EXPERIMENTS:
+        result = results.results.get(spec.name)
+        heading = spec.section_heading(result)
+        if heading != previous:
+            w(f"## {heading}\n\n")
+            previous = heading
+        if result is not None:
+            w(spec.render(result))
+            continue
+        failure = failures.get(spec.name)
+        detail = (f" after {failure.attempts} attempt(s): {failure.error}"
+                  if failure is not None else "")
+        if not out.getvalue().endswith("\n\n"):
+            w("\n")  # after a shared section's list item: own paragraph
+        w(f"**FAILED** — experiment `{spec.name}` produced no "
+          f"result{detail}.\n\n")
 
     # Wall times vary run to run, so the appendix is opt-in: the golden
     # report test needs the default rendering to be byte-stable.
@@ -432,10 +363,3 @@ def format_report(results: AllResults, include_timings: bool = False) -> str:
         w(f"\ntotal experiment wall time: {total:.2f} s "
           f"({hits}/{len(results.timings)} cache hits)\n")
     return out.getvalue()
-
-
-def _failure_note(failures: Dict[str, ExperimentFailure], name: str) -> str:
-    failure = failures.get(name)
-    if failure is None:
-        return ""
-    return f" ({failure.error})"

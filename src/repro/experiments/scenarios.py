@@ -65,8 +65,10 @@ from ..windows.permissions import Permission
 from ..windows.touch import TapOutcome
 from .engine import TrialSpec, drive_until, run_trial, scenario
 
-#: Settling time appended after the last user action (ms).
-_SETTLE_MS = 400.0
+#: Settling time appended after the last user action or attack withdrawal
+#: (ms); every scenario and the served queries settle for the same time so
+#: outcomes classify identically.
+SETTLE_MS = 400.0
 
 #: The notification scenario's default attacker, resolved once: campaigns
 #: run that scenario per trial.
@@ -97,7 +99,7 @@ def notification_scenario(
     stack.run_for(duration_ms)
     worst_during = stack.system_ui.worst_outcome()
     attacker.withdraw(handle)
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
     worst_after = stack.system_ui.worst_outcome()
     return max(worst_during, worst_after)
 
@@ -247,7 +249,7 @@ def capture_scenario(
     session = typist.type_text(text)
     drive_until(stack, lambda: session.complete)
     attack.stop()
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
 
     committed = sum(
         1
@@ -376,7 +378,7 @@ def control_scenario(
     typist = Typist(stack, spec, participant.typing, participant.touch)
     session = typist.type_text(password, initial_delay_ms=150.0)
     drive_until(stack, lambda: session.complete)
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
     perception = participant.perception
     return ControlTrialResult(
         truth=password,
@@ -455,9 +457,9 @@ def password_scenario(
     presses = presses + [KeyPress(layout=import_layout, key=KEY_ENTER)]
     session = typist.type_presses(password, presses, initial_delay_ms=150.0)
     drive_until(stack, lambda: session.complete)
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
     result = malware.finish()
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
 
     error_type = classify_password_attempt(password, result.derived_password)
     perception = participant.perception

@@ -71,6 +71,14 @@ def _run_table3_by_version(
                                  rows=tuple(rows))
 
 
+def _render_table3_by_version(result: Table3ByVersionResult) -> str:
+    rows = "".join(
+        f"| Android {row.version}.x | {row.success_rate:.1f}% | "
+        f"[{row.ci.lower * 100:.1f}, {row.ci.upper * 100:.1f}]% | "
+        f"{row.attempts} |\n" for row in result.rows)
+    return f"| version | success | 95% CI | attempts |\n|---|---|---|---|\n{rows}\n"
+
+
 def _table3_by_version_rows(
     rows: List[VersionSuccessRow],
     scale: ExperimentScale,
@@ -151,3 +159,10 @@ def _run_fig7_with_cis(
             )
         )
     return Fig7WithCisResult(rows=tuple(rows))
+
+
+def _render_fig7_with_cis(result: Fig7WithCisResult) -> str:
+    rows = "".join(
+        f"| {row.attacking_window_ms:.0f} | {row.mean:.1f} | "
+        f"[{row.ci.lower:.1f}, {row.ci.upper:.1f}] |\n" for row in result.rows)
+    return f"| D (ms) | mean % | CI |\n|---|---|---|\n{rows}\n"

@@ -144,6 +144,16 @@ def _run_toast_continuity(
     ))
 
 
+def _render_toast_continuity(result: ToastContinuityResult) -> str:
+    return (f"- toasts shown: {result.toasts_shown}; max queue depth: "
+            f"{result.max_queue_depth_observed} (cap 50)\n"
+            f"- min switch coverage: {result.min_switch_coverage * 100:.1f}% "
+            f"(imperceptible: {result.imperceptible})\n"
+            f"- coverage >= 95% for "
+            f"{result.coverage_fraction_above_95 * 100:.1f}% "
+            "of the observation window\n\n")
+
+
 def compare_toast_durations(
     scale: ExperimentScale = QUICK,
 ) -> Tuple[ToastContinuityResult, ToastContinuityResult]:

@@ -152,3 +152,15 @@ def _run_trigger_comparison(
                 seed = scale.seed + channel_index * 101 + victim_index * 13
                 trials.append(_run_one(channel, victim_spec, seed, password))
     return TriggerComparisonResult(trials=tuple(trials))
+
+
+def _render_trigger_comparison(result: TriggerComparisonResult) -> str:
+    out = ["| channel | victim | launched | latency (ms) | stolen |\n"
+           "|---|---|---|---|---|\n"]
+    for t in result.trials:
+        latency = (f"{t.trigger_latency_ms:.1f}"
+                   if t.trigger_latency_ms is not None else "--")
+        out.append(f"| {t.channel} | {t.victim} | {t.launched} | {latency} | "
+                   f"{t.derived_matches} |\n")
+    out.append("\n")
+    return "".join(out)

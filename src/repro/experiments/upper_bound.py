@@ -76,6 +76,17 @@ def _run_table2(
     return Table2Result(rows=rows)
 
 
+def _render_table2(result: Table2Result) -> str:
+    rows = "".join(
+        f"| {profile.key} | {row.published_upper_bound_d:.0f} | "
+        f"{row.measured_upper_bound_d:.0f} | {row.error_ms:+.0f} |\n"
+        for row, profile in zip(result.rows, DEVICES))
+    return ("| device | published (ms) | measured (ms) | error |\n"
+            f"|---|---|---|---|\n{rows}"
+            f"\nmean abs error: {result.mean_abs_error_ms:.1f} ms; "
+            f"version means: {result.version_means()}\n\n")
+
+
 # ---------------------------------------------------------------------------
 # Load impact (Section VI-B)
 # ---------------------------------------------------------------------------
@@ -110,3 +121,10 @@ def _run_load_impact(
             result = finder.find(loaded)
             bounds.append((count, result.measured_upper_bound_d))
     return LoadImpactResult(device_key=base.key, bounds_by_load=tuple(bounds))
+
+
+def _render_load_impact(result: LoadImpactResult) -> str:
+    rows = "".join(f"- {count} background apps: boundary {bound:.0f} ms\n"
+                   for count, bound in result.bounds_by_load)
+    return (f"{rows}- max shift: {result.max_shift_ms:.1f} ms "
+            "(paper: negligible)\n\n")

@@ -32,6 +32,7 @@ from ..experiments.engine import (
     scoped_executor,
 )
 from ..experiments.parallel import reset_id_allocators
+from ..experiments.scenarios import SETTLE_MS
 from ..sim.rng import SeededRng
 from ..stack import AndroidStack
 from ..users.passwords import PasswordGenerator
@@ -44,10 +45,6 @@ from .schema import (
 )
 
 __all__ = ["execute_query", "execute_query_job"]
-
-#: Settling time appended after the attack withdraws (ms) — matches the
-#: scenario library so outcomes classify identically.
-_SETTLE_MS = 400.0
 
 #: Supervised-task name of every query job, hence its chaos fault point
 #: (``REPRO_CHAOS`` ``"serve-query:<attempt>:<mode>"`` targets every
@@ -84,7 +81,7 @@ def feasibility_capture_scenario(
     session = user_model.type_text(stack, spec, text)
     drive_until(stack, lambda: session.complete)
     attacker_model.withdraw(handle)
-    stack.run_for(_SETTLE_MS)
+    stack.run_for(SETTLE_MS)
 
     return FeasibilityProbeTrial(
         total_taps=len(session.taps),

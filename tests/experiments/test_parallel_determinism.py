@@ -2,7 +2,7 @@
 
 The headline guarantee of the parallel runner (ISSUE 1): fanning the
 suite out over worker processes, in any order, with any job count, yields
-an :class:`AllResults` that is field-for-field equal to the serial
+an :class:`AllResults` that is experiment-for-experiment equal to the serial
 reference run — and cache hits reproduce the same objects again.
 """
 
@@ -15,17 +15,16 @@ from repro.experiments import (
     QUICK,
     SMOKE,
     AllResults,
+    experiment_names,
     run_all,
 )
 
 
 def assert_field_for_field_equal(actual: AllResults, expected: AllResults):
     """Compare per experiment so a failure names the experiment."""
-    for f in dataclasses.fields(AllResults):
-        if not f.compare:
-            continue
-        assert getattr(actual, f.name) == getattr(expected, f.name), (
-            f"experiment {f.name!r} differs between parallel and serial runs"
+    for name in experiment_names():
+        assert getattr(actual, name) == getattr(expected, name), (
+            f"experiment {name!r} differs between parallel and serial runs"
         )
     assert actual == expected
 

@@ -84,7 +84,6 @@ EXPERIMENTS_RUNNERS = [
     "run_ana_removal_whatif",
     "run_campaign",
     "run_capture_trial",
-    "run_experiments",
     "run_families",
     "run_family",
     "run_flooding_trial",
