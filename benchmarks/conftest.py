@@ -1,15 +1,15 @@
 """Benchmark harness configuration.
 
-Every benchmark regenerates one table or figure from the paper's
-evaluation section at the QUICK scale (same protocol as the paper, reduced
-replication) and prints the paper-vs-measured rows. Run with::
+The benchmarks here measure performance (throughput, overhead, fan-out)
+and the design ablations; the paper's tables and figures are checked by
+the claims table instead (``python -m repro claims --scale full``). Run
+with::
 
     pytest benchmarks/ --benchmark-only
 
-Set ``REPRO_BENCH_SCALE=full`` for paper-scale runs (30 participants, the
-890,855-app corpus, ...), which take several minutes, and
-``REPRO_BENCH_JOBS=N`` to size the parallel-runner benchmark's worker
-pool (default 4; results are identical at any job count).
+``REPRO_BENCH_SCALE=full`` runs the parallel-runner benchmark at paper
+scale (default QUICK), and ``REPRO_BENCH_JOBS=N`` sizes its worker pool
+(default 4; results are identical at any job count).
 
 Gated benchmarks (the ones that assert a performance claim) also append
 one entry to the perf ledger at ``benchmarks/ledger/BENCH_<name>.json``

@@ -12,6 +12,8 @@ Commands:
   ``--profile-dir`` attach observability artifacts to the run;
 * ``metrics`` — run the suite with metrics collection and export the
   aggregated series as JSONL + Prometheus text;
+* ``claims`` — run the suite and check every paper claim
+  (:mod:`repro.experiments.claims`); exit 1 if any fails;
 * ``campaign`` — run a fleet-scale :class:`ScenarioMatrix` sweep from a
   JSON spec: sharded, supervised, resumable, with streaming aggregates;
 * ``serve`` — boot the attack-feasibility query service: an HTTP front
@@ -236,6 +238,16 @@ def _cmd_metrics(args: argparse.Namespace) -> int:
     merged = merge_samples(em.samples for em in results.metrics or ())
     print(render_prometheus(merged), end="")
     return _report_failures(results, "metrics")
+
+
+def _cmd_claims(args: argparse.Namespace) -> int:
+    from .experiments import run_all
+    from .experiments.claims import FAIL, MISSING, evaluate, render_summary
+
+    # Results are byte-identical at any job count: use every core.
+    verdicts = evaluate(run_all(SCALES[args.scale], jobs=0))
+    print(render_summary(verdicts), end="")
+    return int(any(v.status in (FAIL, MISSING) for v in verdicts))
 
 
 def _cmd_actors(args: argparse.Namespace) -> int:
@@ -684,6 +696,11 @@ def build_parser() -> argparse.ArgumentParser:
                          help="write metrics.jsonl + metrics.prom here "
                               "(default: print Prometheus text to stdout)")
 
+    claims = sub.add_parser(
+        "claims", help="run the suite and check every paper claim "
+                       "(exit 1 if any fails)")
+    claims.add_argument("--scale", choices=tuple(SCALES), default="quick")
+
     experiments = sub.add_parser(
         "experiments", help="inspect the experiment / scenario registry"
     )
@@ -853,6 +870,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         "diagram": _cmd_diagram,
         "report": _cmd_report,
         "metrics": _cmd_metrics,
+        "claims": _cmd_claims,
         "experiments": _cmd_experiments,
         "actors": _cmd_actors,
         "campaign": _cmd_campaign,

@@ -9,8 +9,11 @@ on iteration order or on which other cells exist.
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.devices.registry import device, reference_device
+from perfbench import oracle
+from repro.devices.registry import DEVICES, device, reference_device
 from repro.experiments.config import QUICK, SMOKE
 from repro.experiments.engine import (
     ScenarioMatrix,
@@ -275,3 +278,30 @@ def test_notification_matrix_sweeps_the_attacker_axis():
     # D = 100 ms races the alert down; the flooder never races it.
     assert all(v.suppressed for v in by_attacker["draw-and-destroy"])
     assert not any(v.suppressed for v in by_attacker["notification-flooding"])
+
+
+# ---------------------------------------------------------------------------
+# The Eq. 3 outcome rule, checked by the benchmark's independent oracle
+# ---------------------------------------------------------------------------
+
+def test_fault_free_notification_trials_obey_eq3():
+    """Below D = Tn + Tv + Ta the attack suppresses the alert, above it
+    the alert shows; cells within one frame of the bound are undecided."""
+    decided = []
+
+    @settings(max_examples=60, derandomize=True, deadline=None)
+    @given(profile=st.sampled_from(DEVICES),
+           offset_ms=st.floats(-150.0, 150.0),
+           seed=st.integers(0, 2**32 - 1))
+    def check(profile, offset_ms, seed):
+        d = max(50.0, oracle.eq3_bound_ms(profile) + offset_ms)
+        outcome = run_trial(TrialSpec(
+            scenario="notification", seed=seed, profile=profile,
+            faults="none",
+            params={"attacking_window_ms": d, "duration_ms": 600.0}))
+        decided.append(oracle.check_outcome_rule(
+            profile, d, suppressed_all=outcome.suppressed,
+            suppressed_none=not outcome.suppressed))
+
+    check()
+    assert 4 * sum(decided) >= len(decided)

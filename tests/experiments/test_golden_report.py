@@ -11,7 +11,10 @@ To regenerate after an intentional change::
         tests/experiments/test_golden_report.py
 
 then review the diff of ``tests/experiments/golden/report_quick.md`` and
-commit it alongside the change that caused it.
+commit it alongside the change that caused it. Regeneration refuses to
+write while any paper claim valid at QUICK fails (or its experiment is
+missing) on the run being snapshotted: a snapshot records agreement with
+the paper, not whatever the code currently prints.
 """
 
 import difflib
@@ -20,16 +23,20 @@ from pathlib import Path
 
 import pytest
 
-from repro.experiments import format_report
+from repro.experiments import claims, format_report
 
-GOLDEN_DIR = Path(__file__).parent / "golden"
-GOLDEN_REPORT = GOLDEN_DIR / "report_quick.md"
+GOLDEN_REPORT = Path(__file__).parent / "golden" / "report_quick.md"
 
 
 def test_quick_report_matches_golden(quick_serial_results):
     report = format_report(quick_serial_results)
     if os.environ.get("REPRO_REGEN_GOLDEN") == "1":
-        GOLDEN_DIR.mkdir(parents=True, exist_ok=True)
+        broken = [v.claim.name for v in claims.evaluate(quick_serial_results)
+                  if v.status in (claims.FAIL, claims.MISSING)]
+        if broken:
+            pytest.fail("refusing to regenerate the golden report while "
+                        "these claims fail: " + "; ".join(broken))
+        GOLDEN_REPORT.parent.mkdir(parents=True, exist_ok=True)
         GOLDEN_REPORT.write_text(report)
         pytest.skip(f"regenerated {GOLDEN_REPORT}")
     assert GOLDEN_REPORT.exists(), (
@@ -68,3 +75,20 @@ def test_golden_report_has_no_timing_appendix(quick_serial_results):
     assert "Runner timings" not in format_report(quick_serial_results)
     timed = format_report(quick_serial_results, include_timings=True)
     assert "Runner timings" in timed
+
+
+def test_regeneration_refuses_while_a_claim_fails(quick_serial_results,
+                                                  monkeypatch, tmp_path):
+    impossible = claims.Claim("fig7", "Fig 7", "impossible", lambda r: 0,
+                              lambda v: False)
+    monkeypatch.setattr(claims, "CLAIMS", claims.CLAIMS + (impossible,))
+    target = tmp_path / "golden" / "report_quick.md"
+    monkeypatch.setitem(globals(), "GOLDEN_REPORT", target)
+    monkeypatch.setenv("REPRO_REGEN_GOLDEN", "1")
+    with pytest.raises(pytest.fail.Exception, match="Fig 7: impossible"):
+        test_quick_report_matches_golden(quick_serial_results)
+    assert not target.parent.exists()
+    monkeypatch.setattr(claims, "CLAIMS", claims.CLAIMS[:-1])
+    with pytest.raises(pytest.skip.Exception):
+        test_quick_report_matches_golden(quick_serial_results)
+    assert target.read_text() == format_report(quick_serial_results)

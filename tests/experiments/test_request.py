@@ -5,6 +5,7 @@ import warnings
 import pytest
 
 from repro.api import run_experiment
+from repro.devices import DEVICES
 from repro.experiments import SMOKE, ExperimentRequest
 
 
@@ -48,3 +49,31 @@ class TestFacade:
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             run_experiment("fig2", scale=SMOKE, derive_seed=False)
+
+
+#: One params path per experiment: (name, params, probe, expected probe).
+_PARAMS_CASES = [
+    ("fig6", {"durations": (50.0, 400.0), "trial_ms": 1500.0},
+     lambda r: tuple(d for d, _ in r.outcomes), (50.0, 400.0)),
+    ("table2", {"profiles": DEVICES[:2]},
+     lambda r: len(r.rows), 2),
+    ("fig7", {"durations": (50.0, 100.0, 200.0)},
+     lambda r: tuple(s.attacking_window_ms for s in r.stats),
+     (50.0, 100.0, 200.0)),
+    ("fig8", {"durations": (75.0, 150.0)},
+     lambda r: r.durations, (75.0, 150.0)),
+    ("table3", {"lengths": (4, 8)},
+     lambda r: tuple(row.length for row in r.rows), (4, 8)),
+    ("defense_ipc", {"durations": (100.0, 250.0),
+                     "benign_observation_ms": 10_000.0},
+     lambda r: tuple(t.attacking_window_ms for t in r.trials),
+     (100.0, 250.0)),
+]
+
+
+@pytest.mark.parametrize("name, params, probe, expected", _PARAMS_CASES,
+                         ids=[case[0] for case in _PARAMS_CASES])
+def test_request_params_reach_the_runner(name, params, probe, expected):
+    result = run_experiment(ExperimentRequest(
+        name=name, scale=SMOKE, derive_seed=False, params=params))
+    assert probe(result) == expected

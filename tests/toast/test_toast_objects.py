@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.experiments import SMOKE, compare_toast_durations
 from repro.toast import (
     MAX_TOASTS_PER_APP,
     TOAST_LENGTH_LONG_MS,
@@ -28,6 +29,12 @@ class TestToastDurations:
         # Android only offers LENGTH_SHORT / LENGTH_LONG.
         with pytest.raises(ValueError):
             make_toast(10_000.0)
+
+    def test_long_toasts_switch_less(self):
+        # Section IV-D: over the same attack period, 3.5 s toasts need
+        # fewer switches than 2 s ones, which is why the attack uses them.
+        short, long = compare_toast_durations(SMOKE)
+        assert len(short.switches) > len(long.switches)
 
 
 class TestAlphaTimeline:
