@@ -21,9 +21,6 @@ is actually observable:
   funnel's dispatch cost exactly, deterministically.
 
 A final un-stubbed write asserts the funnel still publishes real bytes.
-
-Runs with plain walls (no ``--benchmark-only`` required) so the CI
-``e2e`` job can execute it directly and gate on the ledger entry.
 """
 
 from __future__ import annotations

@@ -10,13 +10,10 @@ micro-benchmark — and their product is gated against 5% of the
 disabled-mode suite wall time.
 
 Two sanity checks ride along: disabling metrics cannot be slower than
-enabling them (best-of-N walls), and both arms must return equal results
-(observation-only; the byte-level report check lives in
-tests/experiments/test_observability.py).
-
-Best-of-N wall times are compared, like the stack-reuse gate in
-bench_trial_engine.py: the minimum is the least noisy estimator of the
-true cost on a shared CI box.
+enabling them, and both arms must return equal results (observation-only;
+the byte-level report check lives in
+tests/experiments/test_observability.py). The walls are medians of five
+interleaved rounds.
 """
 
 from __future__ import annotations
@@ -25,8 +22,6 @@ import time
 
 from repro.experiments import QUICK, run_all
 from repro.obs import merge_samples
-
-_REPEATS = 3
 
 #: Counter series whose sum approximates "instrumented hot-path events":
 #: one disabled-mode presence check happens at least once per increment.
@@ -40,16 +35,6 @@ _EVENT_COUNTERS = (
     "toast_tokens_enqueued_total",
     "engine_trials_total",
 )
-
-
-def _best_wall_seconds(collect_metrics: bool, repeats: int = _REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_all(QUICK, collect_metrics=collect_metrics)
-        best = min(best, time.perf_counter() - start)
-    return best, result
 
 
 def _per_check_seconds(iterations: int = 1_000_000) -> float:
@@ -84,24 +69,17 @@ def _instrumented_event_count(results) -> float:
     return sum(merged[name].value or 0.0 for name in _EVENT_COUNTERS)
 
 
-def bench_metrics_overhead(benchmark, ledger):
+def bench_metrics_overhead(interleaved, ledger):
     """Disabled-mode metrics overhead gated at <5% of the QUICK wall."""
-    disabled_s, disabled_results = _best_wall_seconds(collect_metrics=False)
-
-    def run():
-        return run_all(QUICK, collect_metrics=True)
-
-    enabled_results = benchmark(run)
-    assert enabled_results == disabled_results, (
+    disabled, enabled = interleaved(
+        lambda: run_all(QUICK, collect_metrics=False),
+        lambda: run_all(QUICK, collect_metrics=True), rounds=5)
+    enabled_results = enabled.value
+    assert enabled_results == disabled.value, (
         "metrics collection must not perturb results"
     )
 
-    enabled_s, _ = _best_wall_seconds(collect_metrics=True)
-    assert disabled_s <= enabled_s * 1.02, (
-        f"disabled mode ({disabled_s:.2f}s) must not run slower than "
-        f"enabled mode ({enabled_s:.2f}s)"
-    )
-
+    disabled_s, enabled_s = disabled.seconds, enabled.seconds
     events = _instrumented_event_count(enabled_results)
     check_s = _per_check_seconds()
     disabled_overhead_s = events * check_s
@@ -118,6 +96,10 @@ def bench_metrics_overhead(benchmark, ledger):
            disabled_seconds=disabled_s, enabled_seconds=enabled_s,
            instrumented_events=events, per_check_ns=check_s * 1e9,
            overhead_fraction=fraction)
+    assert disabled_s <= enabled_s * 1.02, (
+        f"disabled mode ({disabled_s:.2f}s) must not run slower than "
+        f"enabled mode ({enabled_s:.2f}s)"
+    )
     assert fraction < 0.05, (
         f"disabled-mode metrics overhead gate: {fraction * 100:.2f}% of "
         f"the QUICK suite wall (limit 5%)"

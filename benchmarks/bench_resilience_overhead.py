@@ -5,19 +5,14 @@ with no faults injected, a run under a *non-trivial* :class:`RunPolicy`
 (retries armed, a generous deadline, backoff configured) pays only the
 supervisor's bookkeeping — one try/except, one attempt counter and one
 deadline comparison per experiment — which must stay within the same 5%
-envelope the metrics plane is held to. Both arms are best-of-N walls
-(the minimum is the least noisy estimator on a shared CI box) and both
-arms must return bit-identical results: supervision observes and
-schedules, it never touches experiment seeds.
+envelope the metrics plane is held to. Both arms are medians of five
+interleaved rounds, and both arms must return bit-identical results:
+supervision observes and schedules, it never touches experiment seeds.
 """
 
 from __future__ import annotations
 
-import time
-
 from repro.experiments import QUICK, RunPolicy, run_all
-
-_REPEATS = 3
 
 #: Retries armed, deadline far above any QUICK experiment, deterministic
 #: backoff configured — every supervisor code path active, none firing.
@@ -28,30 +23,17 @@ _ARMED_POLICY = RunPolicy(
 )
 
 
-def _best_wall_seconds(policy, repeats: int = _REPEATS):
-    best = float("inf")
-    result = None
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = run_all(QUICK, policy=policy)
-        best = min(best, time.perf_counter() - start)
-    return best, result
-
-
-def bench_resilience_overhead(benchmark, ledger):
+def bench_resilience_overhead(interleaved, ledger):
     """Armed-but-idle supervision gated at <5% of the QUICK wall."""
-    default_s, default_results = _best_wall_seconds(policy=None)
-
-    def run():
-        return run_all(QUICK, policy=_ARMED_POLICY)
-
-    armed_results = benchmark(run)
-    assert armed_results == default_results, (
+    default, armed = interleaved(
+        lambda: run_all(QUICK),
+        lambda: run_all(QUICK, policy=_ARMED_POLICY), rounds=5)
+    assert armed.value == default.value, (
         "an armed-but-idle RunPolicy must not perturb results"
     )
-    assert armed_results.failures == () and default_results.failures == ()
+    assert armed.value.failures == () and default.value.failures == ()
 
-    armed_s, _ = _best_wall_seconds(policy=_ARMED_POLICY)
+    default_s, armed_s = default.seconds, armed.seconds
     overhead = armed_s / default_s - 1.0
     print(f"\ndefault policy: {default_s:.2f}s   armed policy: "
           f"{armed_s:.2f}s   ({overhead * 100:+.2f}% when armed)")

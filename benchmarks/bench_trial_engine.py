@@ -11,8 +11,6 @@ trials.
 
 from __future__ import annotations
 
-import time
-
 from repro.experiments.engine import TrialExecutor, TrialSpec, scenario
 
 _TRIALS = 200
@@ -30,39 +28,17 @@ def _settle_scenario(stack, settle_ms: float = 10.0) -> float:
     return stack.now
 
 
-def _specs():
-    return [
-        TrialSpec(scenario="bench-settle", seed=1000 + i)
-        for i in range(_TRIALS)
-    ]
-
-
-def _throughput(reuse: bool, repeats: int = 3) -> float:
-    """Best-of-N trials/second for one executor configuration."""
-    best = 0.0
-    for _ in range(repeats):
-        executor = TrialExecutor(reuse=reuse)
-        start = time.perf_counter()
-        executor.map(_specs())
-        elapsed = time.perf_counter() - start
-        best = max(best, _TRIALS / elapsed)
-    return best
-
-
-def bench_trial_engine_reuse(benchmark, ledger):
+def bench_trial_engine_reuse(interleaved, ledger):
     """Reused-stack trial throughput; asserts the >=1.5x speedup."""
-    rebuild_tps = _throughput(reuse=False)
+    specs = [TrialSpec(scenario="bench-settle", seed=1000 + i)
+             for i in range(_TRIALS)]
+    rebuild, reuse = interleaved(
+        lambda: TrialExecutor(reuse=False).map(specs),
+        lambda: TrialExecutor(reuse=True).map(specs))
+    assert reuse.value == rebuild.value and len(reuse.value) == _TRIALS
 
-    executor = TrialExecutor(reuse=True)
-    executor.map(_specs())  # warm the pool so the arm measures reset only
-
-    def run():
-        return executor.map(_specs())
-
-    results = benchmark(run)
-    assert len(results) == _TRIALS
-
-    reuse_tps = _throughput(reuse=True)
+    rebuild_tps = _TRIALS / rebuild.seconds
+    reuse_tps = _TRIALS / reuse.seconds
     speedup = reuse_tps / rebuild_tps
     print(f"\nrebuild: {rebuild_tps:,.0f} trials/s   "
           f"reuse: {reuse_tps:,.0f} trials/s   speedup: {speedup:.2f}x")
@@ -73,14 +49,3 @@ def bench_trial_engine_reuse(benchmark, ledger):
         f"stack reuse must deliver >=1.5x trial throughput, got "
         f"{speedup:.2f}x"
     )
-
-
-def bench_trial_engine_rebuild(benchmark):
-    """The comparison arm: build-per-trial (the legacy behaviour)."""
-    executor = TrialExecutor(reuse=False)
-
-    def run():
-        return executor.map(_specs())
-
-    results = benchmark(run)
-    assert len(results) == _TRIALS

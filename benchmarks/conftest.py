@@ -1,50 +1,77 @@
-"""Benchmark harness configuration.
+"""Benchmark harness: six performance gates and the perf ledger.
 
-The benchmarks here measure performance (throughput, overhead, fan-out)
-and the design ablations; the paper's tables and figures are checked by
+The benchmarks here gate the engine's performance claims (stack reuse,
+campaign fan-out, idle supervision, disabled metrics, the durable-write
+funnel, the serve cache); the paper's tables and figures are checked by
 the claims table instead (``python -m repro claims --scale full``). Run
 with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/
 
-``REPRO_BENCH_SCALE=full`` runs the parallel-runner benchmark at paper
-scale (default QUICK), and ``REPRO_BENCH_JOBS=N`` sizes its worker pool
-(default 4; results are identical at any job count).
+The four gates that time two whole workloads against each other share
+one measurement, the ``interleaved`` fixture: interleaved rounds,
+compared by medians. The serve gate compares medians of its samples, and
+the durability gate medians of raw writes against the funnel's dispatch.
 
-Gated benchmarks (the ones that assert a performance claim) also append
-one entry to the perf ledger at ``benchmarks/ledger/BENCH_<name>.json``
-— git sha, timestamp, measured throughput/walls and the gate verdict —
-so the claim's trajectory across commits is versioned next to the gates
-themselves (``.benchmarks/`` is gitignored; the ledger is not). Point
+Each gate also appends one entry to the perf ledger at
+``benchmarks/ledger/BENCH_<name>.json`` — git sha, timestamp, the
+measured walls and the gate verdict — so the claim's trajectory across
+commits is versioned next to the gates themselves. Point
 ``REPRO_BENCH_LEDGER`` somewhere else to keep CI runs out of the tree.
 """
 
 from __future__ import annotations
 
+import gc
 import json
 import os
+import statistics
 import subprocess
 import time
 from pathlib import Path
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 import pytest
 
-from repro.experiments import FULL, QUICK, ExperimentScale
 from repro.storage import DurableStore
 
 _LEDGER_DIR = Path(__file__).resolve().parent / "ledger"
 
 
-@pytest.fixture(scope="session")
-def scale() -> ExperimentScale:
-    name = os.environ.get("REPRO_BENCH_SCALE", "quick").lower()
-    return FULL if name == "full" else QUICK
+class Arm(NamedTuple):
+    """One arm of a paired measurement."""
+
+    seconds: float  # median wall over the timed rounds
+    value: Any  # what the arm's last call returned, for equality checks
 
 
 @pytest.fixture(scope="session")
-def jobs() -> int:
-    return int(os.environ.get("REPRO_BENCH_JOBS", "4"))
+def interleaved() -> Callable[..., Tuple[Arm, Arm]]:
+    """Time two zero-argument arms by interleaved medians.
+
+    ``interleaved(first, second, rounds=10)`` calls each arm once
+    untimed (warm-up), then runs ``rounds`` rounds that each time both
+    arms once. The arms alternate which goes first, so drift (thermal,
+    page cache, a neighbour's load) lands on both instead of on one, and
+    ``gc.collect()`` runs before every timed region so one arm's garbage
+    is not collected on the other's clock.
+    """
+
+    def measure(first: Callable[[], Any], second: Callable[[], Any],
+                rounds: int = 10) -> Tuple[Arm, Arm]:
+        arms = (first, second)
+        values = [arm() for arm in arms]  # untimed warm-up
+        walls: Tuple[List[float], List[float]] = ([], [])
+        for index in range(rounds):
+            for which in ((0, 1), (1, 0))[index % 2]:
+                gc.collect()
+                start = time.perf_counter()
+                values[which] = arms[which]()
+                walls[which].append(time.perf_counter() - start)
+        return (Arm(statistics.median(walls[0]), values[0]),
+                Arm(statistics.median(walls[1]), values[1]))
+
+    return measure
 
 
 def _git_sha() -> str:
@@ -59,7 +86,7 @@ def _git_sha() -> str:
 
 
 @pytest.fixture(scope="session")
-def ledger(scale: ExperimentScale) -> Callable[..., Dict[str, Any]]:
+def ledger() -> Callable[..., Dict[str, Any]]:
     """Append one trajectory entry to ``BENCH_<name>.json``.
 
     ``record(name, gate=..., passed=..., throughput=..., **measurements)``
@@ -82,7 +109,6 @@ def ledger(scale: ExperimentScale) -> Callable[..., Dict[str, Any]]:
         entry: Dict[str, Any] = {
             "git_sha": _git_sha(),
             "timestamp": time.strftime("%Y-%m-%dT%H:%M:%S%z"),
-            "scale": scale.name,
             "gate": gate,
             "passed": bool(passed),
         }

@@ -164,15 +164,15 @@ def _write_failures_summary(results, out: Path) -> None:
     out.write_text(json.dumps(summary, indent=2) + "\n")
 
 
-def _report_failures(results, command: str) -> int:
+def _report_failures(results, command: str, noun: str = "experiment") -> int:
     """Print the failure roll-up and return the process exit code."""
     if not results.failures:
         return 0
     for failure in results.failures:
-        print(f"repro {command}: experiment {failure.name} FAILED "
+        print(f"repro {command}: {noun} {failure.name} FAILED "
               f"({failure.kind}, {failure.attempts} attempt(s)): "
               f"{failure.error}", file=sys.stderr)
-    print(f"repro {command}: {len(results.failures)} experiment(s) failed",
+    print(f"repro {command}: {len(results.failures)} {noun}(s) failed",
           file=sys.stderr)
     return 1
 
@@ -197,17 +197,13 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"repro report: --cache-dir {cache_dir} exists and is not a "
               "directory", file=sys.stderr)
         return 2
-    if args.resume is not None and args.run_dir is not None:
-        print("repro report: --resume already names the run directory; "
-              "drop --run-dir", file=sys.stderr)
-        return 2
-    run_dir = args.resume if args.resume is not None else args.run_dir
     try:
         results = run_all(scale, verbose=args.verbose, jobs=args.jobs,
                           cache_dir=cache_dir,
                           collect_metrics=collect_metrics,
                           profile_dir=args.profile_dir,
-                          policy=_build_policy(args), run_dir=run_dir,
+                          policy=_build_policy(args),
+                          run_dir=args.resume or args.run_dir,
                           resume=args.resume is not None)
     except JournalError as exc:
         print(f"repro report: {exc}", file=sys.stderr)
@@ -316,18 +312,13 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     except (KeyError, ValueError) as exc:
         print(f"repro campaign: bad matrix spec: {exc}", file=sys.stderr)
         return 2
-    if args.resume is not None and args.run_dir is not None:
-        print("repro campaign: --resume already names the run directory; "
-              "drop --run-dir", file=sys.stderr)
-        return 2
-    run_dir = args.resume if args.resume is not None else args.run_dir
     try:
         result = run_campaign(
             matrix,
             shards=args.shards,
             jobs=args.jobs,
             policy=_build_policy(args),
-            run_dir=run_dir,
+            run_dir=args.resume or args.run_dir,
             resume=args.resume is not None,
             group_by=GROUPERS[args.group_by],
             verbose=args.verbose,
@@ -340,15 +331,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         args.out.parent.mkdir(parents=True, exist_ok=True)
         args.out.write_text(result.aggregates_json())
         print(f"aggregates written to {args.out}", file=sys.stderr)
-    if not result.failures:
-        return 0
-    for failure in result.failures:
-        print(f"repro campaign: shard {failure.name} FAILED "
-              f"({failure.kind}, {failure.attempts} attempt(s)): "
-              f"{failure.error}", file=sys.stderr)
-    print(f"repro campaign: {len(result.failures)} shard(s) failed",
-          file=sys.stderr)
-    return 1
+    return _report_failures(result, "campaign", noun="shard")
 
 
 def _cmd_serve(args: argparse.Namespace) -> int:
@@ -604,6 +587,18 @@ def _nonnegative_int(text: str) -> int:
     return value
 
 
+def _add_journal_options(parser: argparse.ArgumentParser, unit: str) -> None:
+    """``--run-dir`` or ``--resume``: argparse rejects both (exit 2)."""
+    journal = parser.add_mutually_exclusive_group()
+    journal.add_argument("--run-dir", type=Path, default=None,
+                         help=f"journal per-{unit} completions under this "
+                              "directory (enables --resume later)")
+    journal.add_argument("--resume", type=Path, default=None,
+                         metavar="RUN_DIR",
+                         help=f"resume a journaled run, re-running only the "
+                              f"{unit}s missing from RUN_DIR")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -673,12 +668,7 @@ def build_parser() -> argparse.ArgumentParser:
     report.add_argument("--failures-out", type=Path, default=None,
                         help="write a machine-readable JSON failure "
                              "summary to this file")
-    report.add_argument("--run-dir", type=Path, default=None,
-                        help="journal per-experiment completions under "
-                             "this directory (enables --resume later)")
-    report.add_argument("--resume", type=Path, default=None, metavar="RUN_DIR",
-                        help="resume a journaled run, re-executing only "
-                             "the experiments missing from RUN_DIR")
+    _add_journal_options(report, "experiment")
 
     metrics = sub.add_parser(
         "metrics",
@@ -753,13 +743,7 @@ def build_parser() -> argparse.ArgumentParser:
                           help="abort on the first permanent shard failure")
     campaign.add_argument("--verbose", action="store_true",
                           help="per-shard progress lines")
-    campaign.add_argument("--run-dir", type=Path, default=None,
-                          help="journal per-shard completions under this "
-                               "directory (enables --resume later)")
-    campaign.add_argument("--resume", type=Path, default=None,
-                          metavar="RUN_DIR",
-                          help="resume a journaled campaign, re-running only "
-                               "the shards missing from RUN_DIR")
+    _add_journal_options(campaign, "shard")
 
     serve = sub.add_parser(
         "serve",

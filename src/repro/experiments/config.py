@@ -3,7 +3,7 @@
 Every experiment accepts an :class:`ExperimentScale`. ``FULL`` matches the
 paper's protocol sizes (30 participants, 10 strings per D, 10 passwords
 per length, the 890,855-app corpus); ``QUICK`` is a minutes-not-hours
-preset for CI and pytest-benchmark runs. Counts are scaled, protocols are
+preset for CI and the benchmark gates. Counts are scaled, protocols are
 identical.
 """
 

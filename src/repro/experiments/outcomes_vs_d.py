@@ -9,7 +9,7 @@ which must be monotonically non-decreasing and traverse the Λ ladder.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 from ..serialization import SerializableMixin
 from ..devices.profiles import DeviceProfile
@@ -31,14 +31,6 @@ class Fig6Result(SerializableMixin):
             if probed == d:
                 return outcome
         raise KeyError(f"D={d} was not probed")
-
-    @property
-    def ladder(self) -> Dict[str, float]:
-        """First probed D at which each observed outcome appears."""
-        first: Dict[str, float] = {}
-        for d, outcome in self.outcomes:
-            first.setdefault(outcome.label, d)
-        return first
 
     @property
     def is_monotone(self) -> bool:

@@ -88,12 +88,6 @@ class Table3Result(SerializableMixin):
     def success_rates(self) -> List[float]:
         return [row.success_rate for row in self.rows]
 
-    @property
-    def is_decreasing_with_length(self) -> bool:
-        rates = self.success_rates
-        return all(a >= b - 3.0 for a, b in zip(rates, rates[1:]))
-
-
 def _run_table3(
     scale: ExperimentScale = QUICK,
     lengths: Sequence[int] = TABLE_III_LENGTHS,

@@ -135,11 +135,6 @@ class Fig7CiRow(SerializableMixin):
 class Fig7WithCisResult(SerializableMixin):
     rows: Tuple[Fig7CiRow, ...]
 
-    @property
-    def all_cis_reasonably_tight(self) -> bool:
-        return all(row.ci.width < 25.0 for row in self.rows)
-
-
 def _run_fig7_with_cis(
     scale: ExperimentScale = QUICK,
     durations: Sequence[float] = FIG7_DURATIONS,

@@ -53,6 +53,7 @@ class TestMechanics:
         attack.stop()
         analytic_stack.run_for(200.0)
         assert analytic_stack.screen.windows_of(attack.package) == []
+        assert analytic_stack.simulation.scheduler.dispatched_count > 50
 
     def test_cycle_counter(self, analytic_stack):
         attack = launch(analytic_stack, d=100.0)

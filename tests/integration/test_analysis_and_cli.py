@@ -99,6 +99,8 @@ class TestCalibration:
     def test_ana_ablation_removes_version_advantage(self):
         ablation = ana_delay_ablation(device("pixel 2"))  # Android 11
         assert ablation["attacker_loses_ms"] == pytest.approx(200.0, abs=1.0)
+        android10 = ana_delay_ablation(device("pixel 4"))
+        assert android10["attacker_loses_ms"] > 90.0
         no_delay = ana_delay_ablation(device("s8"))       # Android 8
         assert no_delay["attacker_loses_ms"] == pytest.approx(0.0, abs=1.0)
 

@@ -133,6 +133,25 @@ class TestCrossDeviceBehaviour:
 
 
 class TestFrameModeParity:
+    def test_frame_mode_costs_more_events_than_analytic(self):
+        # The ablation behind AlertMode.ANALYTIC for sweeps. D = 420 ms is
+        # above the device's bound, so the alert actually animates (a
+        # suppressed alert never reaches System UI in either mode).
+        events = []
+        for mode in (AlertMode.FRAME, AlertMode.ANALYTIC):
+            stack = build_stack(seed=1, alert_mode=mode, trace_enabled=False)
+            attack = DrawAndDestroyOverlayAttack(
+                stack, OverlayAttackConfig(attacking_window_ms=420.0)
+            )
+            stack.permissions.grant(attack.package,
+                                    Permission.SYSTEM_ALERT_WINDOW)
+            attack.start()
+            stack.run_for(2000.0)
+            attack.stop()
+            stack.run_for(100.0)
+            events.append(stack.simulation.scheduler.dispatched_count)
+        assert events[0] > events[1]
+
     def test_full_attack_same_outcome_in_frame_mode(self):
         outcomes = []
         for mode in (AlertMode.FRAME, AlertMode.ANALYTIC):

@@ -6,6 +6,7 @@ from repro.sim.clock import Clock
 from repro.sim.errors import SchedulingError
 from repro.sim.event import EventHandle
 from repro.sim.scheduler import EventScheduler
+from repro.sim.simulation import Simulation
 
 
 @pytest.fixture
@@ -61,6 +62,20 @@ class TestScheduling:
         scheduler.schedule_after(1.0, first)
         scheduler.run_until(10.0)
         assert fired == ["first", "second"]
+
+    def test_long_self_rescheduling_chain_dispatches_every_event(self):
+        sim = Simulation(seed=1, trace_enabled=False)
+        count = 0
+
+        def tick():
+            nonlocal count
+            count += 1
+            if count < 50_000:
+                sim.schedule_after(1.0, tick)
+
+        sim.schedule_after(1.0, tick)
+        sim.run_to_completion()
+        assert count == sim.scheduler.dispatched_count == 50_000
 
 
 class TestCancellation:

@@ -128,3 +128,21 @@ class TestSwitchAnalysis:
         switches = analyze_switches([first, second])
         assert switches[0].min_coverage == pytest.approx(0.0, abs=1e-6)
         assert switches[0].time_below_threshold_ms > 200.0
+
+    def test_fade_out_is_what_hides_the_switch(self):
+        # Section IV ablation: the same back-to-back switch with the real
+        # 500 ms exit fade stays covered; with a 1 ms fade (effectively
+        # instant removal) it flickers. The animation is the vulnerability.
+        def min_coverage(fade_ms):
+            toasts = []
+            for i in range(2):
+                toast = Toast(owner="m", content=i, rect=RECT,
+                              duration_ms=2000.0, fade_ms=fade_ms)
+                toast.shown_at = i * 2010.0
+                toast.fade_out_start = toast.shown_at + 2000.0
+                toast.removed_at = toast.fade_out_start + fade_ms
+                toasts.append(toast)
+            return analyze_switches(toasts)[0].min_coverage
+
+        assert min_coverage(500.0) > 0.9
+        assert min_coverage(1.0) < 0.2
