@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 from typing import Callable, Optional
 
-from ..sim.event import EventHandle
+from ..sim.event import Event
 from ..sim.simulation import Simulation
 from .interpolators import Interpolator
 from .kernels import frame_table, rendered_pixels
@@ -79,7 +79,7 @@ class Animator:
         self._max_progress = 0.0
         self._frames_rendered = 0
         self._frames_dropped = 0
-        self._pending: Optional[EventHandle] = None
+        self._pending: Optional[Event] = None
         # Reverse playback bookkeeping.
         self._reverse_from = 0.0
         self._reverse_start: Optional[float] = None

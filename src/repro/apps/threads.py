@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Optional
 
-from ..sim.event import EventHandle
+from ..sim.event import Event
 from ..sim.process import SimProcess
 from ..sim.simulation import Simulation
 
@@ -116,7 +116,7 @@ class WorkerTimer(SimProcess):
         self._on_tick = on_tick
         self._tick = 0
         self._running = False
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
 
     @property
     def period_ms(self) -> float:

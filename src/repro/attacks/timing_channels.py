@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 from ..apps.victim import VictimApp
-from ..sim.event import EventHandle
+from ..sim.event import Event
 from ..sim.process import SimProcess
 from ..stack import AndroidStack
 
@@ -72,7 +72,7 @@ class UiStateSideChannel(SimProcess):
         self.victim = victim
         self.config = config or SideChannelConfig()
         self._on_password_focus = on_password_focus
-        self._handle: Optional[EventHandle] = None
+        self._handle: Optional[Event] = None
         self._running = False
         self._fired = False
         self.polls = 0

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
+from ..obs.metrics import FOLD_CAP, DerivedCounters
 from ..sim.process import SimProcess
 from ..sim.simulation import Simulation
 from .latency import FixedLatency, LatencyModel
@@ -56,19 +57,20 @@ class BinderRouter(SimProcess):
         self._dropped = 0
         # Instruments resolved once; they survive rearm() so a registry
         # aggregates Binder traffic across every trial of an experiment.
+        # The three counters are read from the counts above when the
+        # registry folds; transit times go to a registry buffer.
         registry = simulation.metrics
+        self._counted: Optional[DerivedCounters] = None
         if registry is not None:
-            self._m_sent = registry.counter("binder_transactions_sent_total")
-            self._m_delivered = registry.counter(
-                "binder_transactions_delivered_total")
-            self._m_dropped = registry.counter(
-                "binder_transactions_dropped_total")
-            self._m_transit = registry.histogram("binder_transit_ms")
+            self._counted = DerivedCounters(registry, (
+                "binder_transactions_sent_total",
+                "binder_transactions_delivered_total",
+                "binder_transactions_dropped_total",
+            ), self._counts)
+            self._m_transit = registry.buffer("binder_transit_ms")
+            self._transits: Optional[List[float]] = self._m_transit.pending
         else:
-            self._m_sent = None
-            self._m_delivered = None
-            self._m_dropped = None
-            self._m_transit = None
+            self._transits = None
 
     # ------------------------------------------------------------------
     # Wiring
@@ -102,6 +104,8 @@ class BinderRouter(SimProcess):
         mid-trial. The latency model is stateless and survives.
         """
         super().rearm()
+        if self._counted is not None:
+            self._counted.rewind()
         self._handlers.clear()
         self._observers.clear()
         self._txn_counter = 0
@@ -160,11 +164,16 @@ class BinderRouter(SimProcess):
             self._fifo_last[fifo_key] = delivery
             latency_ms = delivery - now
         self._txn_counter += 1
-        if self._m_sent is not None:
-            self._m_sent.inc()
+        transits = self._transits
+        if transits is not None:
+            counted = self._counted
+            if not counted.tracked:
+                counted.track()
             # Transit time as scheduled, including model latency, fault
             # jitter and FIFO clamping — the "transit jitter" series.
-            self._m_transit.observe(latency_ms)
+            transits.append(latency_ms)
+            if not self._txn_counter % FOLD_CAP:
+                self._m_transit.fold()
         txn = BinderTransaction(
             txn_id=self._txn_counter,
             sender=sender,
@@ -174,8 +183,10 @@ class BinderRouter(SimProcess):
             delivered_at=now + latency_ms,
             payload=dict(payload or {}),
         )
-        self.trace("binder.transact", txn_id=txn.txn_id, sender=sender,
-                   receiver=receiver, method=method, latency_ms=round(latency_ms, 4))
+        if self.tracing:
+            self.trace("binder.transact", txn_id=txn.txn_id, sender=sender,
+                       receiver=receiver, method=method,
+                       latency_ms=round(latency_ms, 4))
         for observer in self._observers:
             observer(txn)
         dropped = bool(self.loss_probability) and self._rng.chance(self.loss_probability)
@@ -183,19 +194,21 @@ class BinderRouter(SimProcess):
             dropped = True
         if dropped:
             self._dropped += 1
-            if self._m_dropped is not None:
-                self._m_dropped.inc()
             self.trace("binder.dropped", txn_id=txn.txn_id, method=method)
             return txn
 
         def deliver() -> None:
             self._delivered += 1
-            if self._m_delivered is not None:
-                self._m_delivered.inc()
+            counted = self._counted
+            if counted is not None and not counted.tracked:
+                counted.track()
             handler(txn)
 
         self.schedule(latency_ms, deliver, name=f"deliver:{method}")
         return txn
+
+    def _counts(self) -> Tuple[int, int, int]:
+        return (self._txn_counter, self._delivered, self._dropped)
 
     def _lookup_handler(self, receiver: str, method: str) -> TransactionHandler:
         methods = self._handlers.get(receiver)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import Dict
 
-from ..sim.event import EventHandle
+from ..sim.event import Event
 from ..windows.system_server import OverlayAlertPolicy, SystemServer
 
 #: The delay the paper installs in its AOSP 10 build.
@@ -37,7 +37,7 @@ class EnhancedNotificationDefense(OverlayAlertPolicy):
             raise ValueError(f"hide_delay_ms must be >= 0, got {hide_delay_ms}")
         self._server = server
         self.hide_delay_ms = float(hide_delay_ms)
-        self._pending_hides: Dict[str, EventHandle] = {}
+        self._pending_hides: Dict[str, Event] = {}
         self._hides_suppressed = 0
         self._hides_delivered = 0
 

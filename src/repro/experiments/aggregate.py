@@ -366,7 +366,20 @@ def default_trial_metrics(spec: Any, value: Any) -> Dict[str, float]:
             _put(out, str(name), raw)
         return out
     if isinstance(value, enum.Enum):
-        _put(out, "value", value.value)
+        return dict(_enum_metrics(value))
+    return _object_metrics(value, out)
+
+
+@lru_cache(maxsize=None)
+def _enum_metrics(member: enum.Enum) -> Dict[str, float]:
+    """An enum member's series: a pure function of the member, so once."""
+    out: Dict[str, float] = {}
+    _put(out, "value", member.value)
+    return _object_metrics(member, out)
+
+
+def _object_metrics(value: Any, out: Dict[str, float]) -> Dict[str, float]:
+    """Add ``value``'s numeric attributes and properties to ``out``."""
     # Numeric instance attributes (dataclass fields land in __dict__).
     state = getattr(value, "__dict__", {})
     for name in sorted(state):

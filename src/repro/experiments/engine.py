@@ -387,6 +387,10 @@ class TrialExecutor:
         self.stats.trials_run += 1
         value = fn(stack, **params)
         if registry is not None:
+            # The kernel counts and buffers per event; fold at the end of
+            # every trial, so no finished stack stays tracked and no
+            # trial's buffered values outlive it.
+            registry.fold()
             # Wall-clock time per trial (lease + scenario). Observation
             # only — the value never feeds back into the simulation, so
             # results stay deterministic even though this number is not.

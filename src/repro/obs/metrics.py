@@ -10,7 +10,15 @@ to wire into kernel hot paths:
 * **Disabled means absent** — components hold ``Optional`` instrument
   references resolved once at construction. With no registry installed the
   hot-path cost is a single ``is not None`` check; there is no null-object
-  indirection to pay for.
+  indirection to pay for. Enabled, the event kernel pays no instrument
+  call per event either: the scheduler and the Binder router read their
+  counters from the counts they already keep (:class:`DerivedCounters`),
+  and append histogram values to a :meth:`MetricsRegistry.buffer`. The
+  registry folds both in :meth:`MetricsRegistry.fold`, at the end of
+  every trial the executor runs and before every snapshot; the two
+  components also fold their buffers every :data:`FOLD_CAP` events.
+  Buffered values fold in append order, so every series equals what one
+  ``observe`` per event would have produced.
 * **Fixed memory** — histograms are streaming: fixed bucket counts plus
   running count/sum/min/max. Quantiles (p50/p95/p99) are estimated from
   the buckets at snapshot time, never from retained samples.
@@ -22,9 +30,11 @@ unit both export formats (JSONL and Prometheus text,
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from functools import reduce
+from operator import add
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from ..serialization import SerializableMixin
 
@@ -38,6 +48,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 
 #: Quantiles reported in every histogram snapshot.
 SUMMARY_QUANTILES: Tuple[float, ...] = (0.5, 0.95, 0.99)
+
+#: Components that buffer fold their buffers every this many events,
+#: which bounds the memory a long trial can pin between folds.
+FOLD_CAP = 1024
 
 
 def _freeze_labels(labels: Optional[Mapping[str, str]]) -> Labels:
@@ -133,7 +147,7 @@ class Histogram:
     """
 
     __slots__ = ("name", "labels", "_bounds", "_counts",
-                 "_count", "_sum", "_min", "_max")
+                 "_count", "_sum", "_min", "_max", "pending")
 
     def __init__(self, name: str, labels: Labels = (),
                  buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> None:
@@ -148,6 +162,9 @@ class Histogram:
         self._sum = 0.0
         self._min = float("inf")
         self._max = float("-inf")
+        #: Values appended through :meth:`MetricsRegistry.buffer`, not yet
+        #: observed; :meth:`fold` observes them in append order.
+        self.pending: List[float] = []
 
     def observe(self, value: float) -> None:
         self._count += 1
@@ -157,6 +174,42 @@ class Histogram:
         if value > self._max:
             self._max = value
         self._counts[bisect_left(self._bounds, value)] += 1
+
+    def observe_many(self, values: List[float]) -> None:
+        """``observe`` each value in order, in one call.
+
+        The sum adds the values one by one in order, so it is bitwise
+        equal to the sequential calls (``sum`` would not be: it may
+        compensate). The rest reads the values sorted, which needs them
+        to be numbers, not NaN. The sort is stable, so min and max are
+        the first of equal values, as ``observe`` keeps them, and each
+        bucket counts the values up to its bound.
+        """
+        if not values:
+            return
+        self._sum = reduce(add, values, self._sum)
+        self._count += len(values)
+        ordered = sorted(values)
+        low = ordered[0]
+        if low < self._min:
+            self._min = low
+        high = ordered[bisect_left(ordered, ordered[-1])]
+        if high > self._max:
+            self._max = high
+        counts = self._counts
+        below = 0
+        for i, bound in enumerate(self._bounds):
+            upto = bisect_right(ordered, bound)
+            counts[i] += upto - below
+            below = upto
+        counts[-1] += len(ordered) - below
+
+    def fold(self) -> None:
+        """Observe the pending values and empty the buffer in place."""
+        pending = self.pending
+        if pending:
+            self.observe_many(pending)
+            pending.clear()
 
     @property
     def count(self) -> int:
@@ -211,6 +264,45 @@ class Histogram:
         )
 
 
+class DerivedCounters:
+    """Counters read from counts a component keeps anyway.
+
+    ``counts()`` returns the component's running counts, one per counter
+    name. The component calls :meth:`track` when it first counts after a
+    fold (its hot path tests :attr:`tracked`), and :meth:`rewind` just
+    before its counts rewind to zero. :meth:`MetricsRegistry.fold` adds
+    each count's increase since the last fold to its counter; the counts
+    are integers, so the totals equal one ``inc()`` per event.
+    """
+
+    __slots__ = ("tracked", "_registry", "_counters", "_counts", "_folded")
+
+    def __init__(self, registry: "MetricsRegistry", names: Tuple[str, ...],
+                 counts: Callable[[], Tuple[int, ...]]) -> None:
+        self.tracked = False
+        self._registry = registry
+        self._counters = tuple(registry.counter(name) for name in names)
+        self._counts = counts
+        self._folded = (0,) * len(names)
+
+    def track(self) -> None:
+        """Have the registry fold these counters at its next fold."""
+        self.tracked = True
+        self._registry.track(self)
+
+    def fold(self) -> None:
+        """Add each count's increase since the last fold to its counter."""
+        counts = self._counts()
+        for counter, now, before in zip(self._counters, counts, self._folded):
+            counter.inc(now - before)
+        self._folded = counts
+
+    def rewind(self) -> None:
+        """Fold, then count from zero again."""
+        self.fold()
+        self._folded = (0,) * len(self._counters)
+
+
 class MetricsRegistry:
     """Factory and snapshot surface for a family of instruments.
 
@@ -222,6 +314,8 @@ class MetricsRegistry:
 
     def __init__(self) -> None:
         self._instruments: Dict[Tuple[str, Labels], object] = {}
+        self._buffered: List[Histogram] = []
+        self._tracked: List[DerivedCounters] = []
 
     # ------------------------------------------------------------------
     def _get(self, cls, name: str, labels: Optional[Mapping[str, str]],
@@ -251,12 +345,42 @@ class MetricsRegistry:
                   buckets: Tuple[float, ...] = DEFAULT_BUCKETS) -> Histogram:
         return self._get(Histogram, name, labels, buckets=buckets)
 
+    def buffer(self, name: str) -> Histogram:
+        """The unlabeled histogram ``name``, fed through its ``pending`` list.
+
+        Every feeder of a buffered histogram appends to the same list, so
+        :meth:`fold` observes values in the order they arrived, whichever
+        component appended them. Do not also ``observe`` it directly.
+        """
+        hist = self.histogram(name)
+        if hist not in self._buffered:
+            self._buffered.append(hist)
+        return hist
+
+    def track(self, counters: DerivedCounters) -> None:
+        """Hold ``counters`` until the next :meth:`fold`.
+
+        The registry drops them at the fold, so it never keeps a finished
+        stack alive; they track themselves again when they next count.
+        """
+        self._tracked.append(counters)
+
+    def fold(self) -> None:
+        """Fold every tracked counter set and every buffered value."""
+        tracked, self._tracked = self._tracked, []
+        for counters in tracked:
+            counters.tracked = False
+            counters.fold()
+        for hist in self._buffered:
+            hist.fold()
+
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         return len(self._instruments)
 
     def samples(self) -> Tuple[MetricSample, ...]:
         """Snapshot every instrument, sorted by ``(name, labels)``."""
+        self.fold()
         rows = [instrument.sample()  # type: ignore[attr-defined]
                 for instrument in self._instruments.values()]
         return tuple(sorted(rows, key=lambda s: s.key))
@@ -265,6 +389,7 @@ class MetricsRegistry:
         """Merge foreign samples (e.g. from a worker process) into this
         registry: counters add, gauges overwrite, histograms merge bucket
         counts and summary statistics."""
+        self.fold()
         for s in samples:
             labels = s.label_dict()
             if s.kind == "counter":

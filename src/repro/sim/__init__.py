@@ -14,7 +14,7 @@ from .errors import (
     SchedulingError,
     SimulationError,
 )
-from .event import Event, EventHandle
+from .event import Event
 from .faults import (
     ADVERSARIAL,
     MILD,
@@ -41,7 +41,6 @@ __all__ = [
     "ClockError",
     "Event",
     "EventCancelledError",
-    "EventHandle",
     "EventScheduler",
     "FaultPlan",
     "FaultProfile",

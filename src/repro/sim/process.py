@@ -4,7 +4,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
-from .event import Callback, EventHandle
+from .errors import SchedulingError
+from .event import Callback, Event
 from .rng import SeededRng
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -64,12 +65,27 @@ class SimProcess:
     def rng(self) -> SeededRng:
         return self._rng
 
-    def schedule(self, delay_ms: float, callback: Callback, name: str = "") -> EventHandle:
-        """Schedule a callback relative to now, tagged with this process."""
-        label = name or callback.__name__
-        return self._scheduler.schedule_after(
-            delay_ms, callback, f"{self._name}:{label}"
-        )
+    def schedule(self, delay_ms: float, callback: Callback, name: str = "") -> Event:
+        """Schedule a callback relative to now, tagged with this process.
+
+        Equivalent to ``scheduler.schedule_after`` with the tagged name,
+        minus one call: this is the path most events take.
+        """
+        label = f"{self._name}:{name or callback.__name__}"
+        if delay_ms < 0:
+            raise SchedulingError(f"negative delay {delay_ms} for {label!r}")
+        now = self._clock.now
+        return self._scheduler._push(now + delay_ms, now, callback, label)
+
+    @property
+    def tracing(self) -> bool:
+        """Whether :meth:`trace` records anything.
+
+        Hot paths test it before computing a record's detail, which
+        :meth:`trace` would otherwise build only to drop.
+        """
+        log = self._trace_log
+        return log._enabled or bool(log._subscribers)
 
     def trace(self, kind: str, **detail) -> None:
         """Record a trace event attributed to this process."""

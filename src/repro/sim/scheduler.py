@@ -5,9 +5,10 @@ from __future__ import annotations
 import heapq
 from typing import TYPE_CHECKING, Callable, List, Optional, Tuple
 
+from ..obs.metrics import FOLD_CAP, DerivedCounters
 from .clock import Clock
 from .errors import SchedulingError
-from .event import Callback, Event, EventHandle
+from .event import Callback, Event
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from ..obs.metrics import MetricsRegistry
@@ -48,24 +49,24 @@ class EventScheduler:
         self._perturb: Optional[TimePerturbation] = None
         # Bound once: every queued event carries this as its cancel hook.
         self._on_cancel = self._note_cancelled
-        # Instruments are resolved once here; every hot-path guard below is
-        # a single `is not None`. Metrics only *observe* (no clock, RNG or
-        # heap interaction), so enabling them cannot perturb a run.
+        # Metrics only *observe* (no clock, RNG or heap interaction), so
+        # enabling them cannot perturb a run. The hot paths append to two
+        # registry buffers behind one `is not None` guard; the three
+        # counters are read from the counts above when the registry folds.
+        self._counted: Optional[DerivedCounters] = None
         if metrics is not None:
-            self._m_scheduled = metrics.counter(
-                "sim_scheduler_events_scheduled_total")
-            self._m_dispatched = metrics.counter(
-                "sim_scheduler_events_dispatched_total")
-            self._m_cancelled = metrics.counter(
-                "sim_scheduler_events_cancelled_total")
-            self._m_delay = metrics.histogram("sim_scheduler_event_delay_ms")
-            self._m_depth = metrics.histogram("sim_scheduler_queue_depth")
+            self._counted = DerivedCounters(metrics, (
+                "sim_scheduler_events_scheduled_total",
+                "sim_scheduler_events_dispatched_total",
+                "sim_scheduler_events_cancelled_total",
+            ), self._counts)
+            self._m_delay = metrics.buffer("sim_scheduler_event_delay_ms")
+            self._m_depth = metrics.buffer("sim_scheduler_queue_depth")
+            self._delays: Optional[List[float]] = self._m_delay.pending
+            self._depths: Optional[List[float]] = self._m_depth.pending
         else:
-            self._m_scheduled = None
-            self._m_dispatched = None
-            self._m_cancelled = None
-            self._m_delay = None
-            self._m_depth = None
+            self._delays = None
+            self._depths = None
 
     @property
     def now(self) -> float:
@@ -76,8 +77,8 @@ class EventScheduler:
         """Number of not-yet-cancelled events still in the queue.
 
         O(1): the counter is maintained on schedule/dispatch, and each
-        event's ``on_cancel`` hook decrements it the moment a handle
-        cancels the event — no heap scan.
+        event's ``on_cancel`` hook decrements it the moment the event
+        is cancelled — no heap scan.
         """
         return self._pending
 
@@ -110,15 +111,18 @@ class EventScheduler:
     def reset(self) -> None:
         """Return the scheduler to its just-constructed state.
 
-        Pending events are discarded (their handles become inert: the
+        Pending events are discarded (they become inert: the
         ``on_cancel`` hook is detached first so a late ``cancel()`` cannot
         corrupt the counters of the next run), all counters rewind to zero
         and any fault perturbation is cleared so the next run starts from
         the same state a fresh ``EventScheduler(clock)`` would.
 
         Metric instruments deliberately survive: a registry aggregates over
-        every trial of an experiment, across stack resets.
+        every trial of an experiment, across stack resets. The counts are
+        folded into them before they rewind.
         """
+        if self._counted is not None:
+            self._counted.rewind()
         for _, _, event in self._heap:
             event.on_cancel = None
         self._heap.clear()
@@ -128,7 +132,7 @@ class EventScheduler:
         self._cancelled = 0
         self._perturb = None
 
-    def schedule_at(self, time_ms: float, callback: Callback, name: str = "") -> EventHandle:
+    def schedule_at(self, time_ms: float, callback: Callback, name: str = "") -> Event:
         """Schedule ``callback`` at an absolute simulated time."""
         now = self._clock.now
         if time_ms < now:
@@ -137,7 +141,7 @@ class EventScheduler:
             )
         return self._push(time_ms, now, callback, name)
 
-    def schedule_after(self, delay_ms: float, callback: Callback, name: str = "") -> EventHandle:
+    def schedule_after(self, delay_ms: float, callback: Callback, name: str = "") -> Event:
         """Schedule ``callback`` after a relative delay from now."""
         if delay_ms < 0:
             raise SchedulingError(f"negative delay {delay_ms} for {name!r}")
@@ -145,7 +149,7 @@ class EventScheduler:
         return self._push(now + delay_ms, now, callback, name)
 
     def _push(self, time_ms: float, now: float, callback: Callback,
-              name: str) -> EventHandle:
+              name: str) -> Event:
         """Queue an event at ``time_ms`` (>= ``now``, the current time)."""
         time_ms = float(time_ms)
         if self._perturb is not None:
@@ -154,18 +158,25 @@ class EventScheduler:
             # requested time.
             time_ms = float(max(time_ms, self._perturb(time_ms, now, name)))
         seq = self._seq
-        event = Event(time_ms, seq, callback, name)
-        event.on_cancel = self._on_cancel
+        event = Event(time_ms, seq, callback, name, self._on_cancel)
         self._seq = seq + 1
         heapq.heappush(self._heap, (time_ms, seq, event))
         self._pending += 1
-        if self._m_delay is not None:
-            self._m_scheduled.inc()
+        delays = self._delays
+        if delays is not None:
+            counted = self._counted
+            if not counted.tracked:
+                counted.track()
             # Dispatch latency in *simulated* time: how far ahead of "now"
             # the event lands after fault perturbation. Deterministic, so
             # the metric itself is reproducible run to run.
-            self._m_delay.observe(time_ms - now)
-        return EventHandle(event)
+            delays.append(time_ms - now)
+            if not seq % FOLD_CAP:
+                # Every FOLD_CAP events: bounds both buffers, as no more
+                # events dispatch than were scheduled.
+                self._m_delay.fold()
+                self._m_depth.fold()
+        return event
 
     def peek_time(self) -> Optional[float]:
         """Timestamp of the next pending event, or ``None`` if drained."""
@@ -189,11 +200,14 @@ class EventScheduler:
         else:
             return False
         # The event has left the queue: detach the cancel hook so a late
-        # handle.cancel() cannot drive the pending counter negative.
+        # cancel() cannot drive the pending counter negative.
         event.on_cancel = None
-        if self._m_depth is not None:
-            self._m_dispatched.inc()
-            self._m_depth.observe(self._pending)
+        depths = self._depths
+        if depths is not None:
+            counted = self._counted
+            if not counted.tracked:
+                counted.track()
+            depths.append(self._pending)
         self._pending -= 1
         self._clock.advance_to(event.time)
         self._dispatched += 1
@@ -211,13 +225,18 @@ class EventScheduler:
         """
         dispatched = 0
         heap = self._heap
-        while True:
-            # The head is live after this, so step() pops it on its first
-            # try: one cancelled-head scan per event on this hottest loop.
-            self._drop_cancelled_head()
-            if not heap or heap[0][0] > time_ms:
+        heappop = heapq.heappop
+        step = self.step
+        while heap:
+            head = heap[0]
+            if head[2].cancelled:
+                # Reclaim the slot here, so step() pops a live head on its
+                # first try.
+                heappop(heap)
+                continue
+            if head[0] > time_ms:
                 break
-            self.step()
+            step()
             dispatched += 1
         if time_ms > self._clock.now:
             self._clock.advance_to(time_ms)
@@ -242,8 +261,12 @@ class EventScheduler:
     def _note_cancelled(self) -> None:
         self._pending -= 1
         self._cancelled += 1
-        if self._m_cancelled is not None:
-            self._m_cancelled.inc()
+        counted = self._counted
+        if counted is not None and not counted.tracked:
+            counted.track()
+
+    def _counts(self) -> Tuple[int, int, int]:
+        return (self._seq, self._dispatched, self._cancelled)
 
     def _drop_cancelled_head(self) -> None:
         # Cancelled events already left the pending count via the hook;

@@ -14,7 +14,7 @@ from typing import TYPE_CHECKING, Dict, Optional
 
 from .clock import Clock
 from .errors import ProcessError, SimulationError
-from .event import Callback, EventHandle
+from .event import Callback, Event
 from .faults import FaultPlan
 from .rng import SeededRng
 from .scheduler import EventScheduler
@@ -161,10 +161,10 @@ class Simulation:
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def schedule_at(self, time_ms: float, callback: Callback, name: str = "") -> EventHandle:
+    def schedule_at(self, time_ms: float, callback: Callback, name: str = "") -> Event:
         return self._scheduler.schedule_at(time_ms, callback, name)
 
-    def schedule_after(self, delay_ms: float, callback: Callback, name: str = "") -> EventHandle:
+    def schedule_after(self, delay_ms: float, callback: Callback, name: str = "") -> Event:
         return self._scheduler.schedule_after(delay_ms, callback, name)
 
     def run_until(self, time_ms: float) -> int:

@@ -19,7 +19,7 @@ from ..animation.interpolators import FastOutSlowInInterpolator
 from ..binder.router import BinderRouter
 from ..binder.transaction import BinderTransaction
 from ..devices.profiles import DeviceProfile
-from ..sim.event import EventHandle
+from ..sim.event import Event
 from ..sim.process import SimProcess
 from ..sim.simulation import Simulation
 from ..windows.system_server import SYSTEM_UI
@@ -47,7 +47,7 @@ class AlertMode(enum.Enum):
 
 @dataclass
 class _PendingAlert:
-    handle: EventHandle
+    handle: Event
     requested_at: float
 
 

@@ -31,10 +31,21 @@ class ToastSwitch:
     threshold: float
 
 
-def _combined_alpha(prev: Toast, nxt: Toast, time: float) -> float:
-    # The toasts overlap on screen, so their opacities composite: the
-    # background shows through only where *both* layers are transparent.
-    return 1.0 - (1.0 - prev.alpha_at(time)) * (1.0 - nxt.alpha_at(time))
+_NEVER = float("inf")
+
+
+def _timeline(toast: Toast):
+    """``(shown_at, removed_at, fade_out_start, fade_ms)``, ``None`` as +inf.
+
+    No finite sample time reaches +inf, so every ``alpha_at`` branch on a
+    missing time takes the same side it takes on ``None``.
+    """
+    return (
+        _NEVER if toast.shown_at is None else toast.shown_at,
+        _NEVER if toast.removed_at is None else toast.removed_at,
+        _NEVER if toast.fade_out_start is None else toast.fade_out_start,
+        toast.fade_ms,
+    )
 
 
 def analyze_switch(
@@ -45,6 +56,14 @@ def analyze_switch(
 ) -> Optional[ToastSwitch]:
     """Measure the coverage dip between ``prev`` and ``nxt``.
 
+    Samples the switch every ``sample_step_ms`` from ``prev``'s fade-out
+    start until ``nxt`` has faded in. The toasts overlap on screen, so
+    their opacities composite: the background shows through only where
+    *both* layers are transparent. Each opacity is
+    :meth:`Toast.alpha_at`, evaluated inline with the same expressions in
+    the same order (the default fade curves, ``1 - (1 - x)^2`` in and
+    ``x^2`` out), so every sample is bitwise what ``alpha_at`` returns.
+
     Returns None if either toast never reached the screen.
     """
     if prev.fade_out_start is None or nxt.shown_at is None:
@@ -52,11 +71,49 @@ def analyze_switch(
     start = prev.fade_out_start
     # The transition is over once the new toast has finished fading in.
     end = nxt.shown_at + nxt.fade_ms
+    p_shown, p_removed, p_out, p_fade = _timeline(prev)
+    n_shown, n_removed, n_out, n_fade = _timeline(nxt)
     min_cov = 1.0
     below_ms = 0.0
     t = start
     while t <= end:
-        cov = _combined_alpha(prev, nxt, t)
+        if t < p_shown or t >= p_removed:
+            a = 0.0
+        else:
+            elapsed = t - p_shown
+            if elapsed < p_fade:
+                x = elapsed / p_fade
+                a = 1.0 - (1.0 - x) * (1.0 - x)
+            else:
+                a = 1.0
+            if t >= p_out:
+                elapsed = t - p_out
+                if elapsed >= p_fade:
+                    a = 0.0
+                else:
+                    x = elapsed / p_fade
+                    fading = 1.0 - x * x
+                    if fading < a:
+                        a = fading
+        if t < n_shown or t >= n_removed:
+            b = 0.0
+        else:
+            elapsed = t - n_shown
+            if elapsed < n_fade:
+                x = elapsed / n_fade
+                b = 1.0 - (1.0 - x) * (1.0 - x)
+            else:
+                b = 1.0
+            if t >= n_out:
+                elapsed = t - n_out
+                if elapsed >= n_fade:
+                    b = 0.0
+                else:
+                    x = elapsed / n_fade
+                    fading = 1.0 - x * x
+                    if fading < b:
+                        b = fading
+        cov = 1.0 - (1.0 - a) * (1.0 - b)
         if cov < min_cov:
             min_cov = cov
         if cov < threshold:

@@ -204,8 +204,9 @@ class SystemServer(SimProcess):
                 self._rejected_overlays += 1
                 return
         tas = self._profile.tas.sample(self.rng)
-        self.trace("wms.creating_window", owner=owner, label=window.label,
-                   tas_ms=round(tas, 4))
+        if self.tracing:
+            self.trace("wms.creating_window", owner=owner, label=window.label,
+                       tas_ms=round(tas, 4))
 
         def finish_creation() -> None:
             self._pending_creations.pop(window.window_id, None)

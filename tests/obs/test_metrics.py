@@ -1,6 +1,10 @@
 """Unit tests for the metrics instruments, registry and sample algebra."""
 
+import gc
+import weakref
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.obs import (
     Counter,
@@ -12,6 +16,8 @@ from repro.obs import (
     merge_samples,
     use_metrics,
 )
+from repro.obs.metrics import FOLD_CAP, DerivedCounters
+from repro.sim import Simulation
 
 
 class TestCounter:
@@ -82,6 +88,138 @@ class TestHistogram:
         for v in (10.0, 20.0, 30.0):
             h.observe(v)
         assert 10.0 <= h.quantile(0.5) <= 30.0
+
+
+def _state(hist):
+    s = hist.sample()
+    return (s.count, s.sum.hex() if s.count else None, s.min, s.max,
+            type(s.min), type(s.max), s.buckets)
+
+
+class TestObserveMany:
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(prior=st.lists(st.floats(-1e6, 1e6), max_size=5),
+           values=st.lists(st.one_of(st.floats(-1e6, 1e6),
+                                     st.integers(-1000, 1000)),
+                           max_size=60))
+    def test_equals_sequential_observe(self, prior, values):
+        one, many = Histogram("h"), Histogram("h")
+        for value in prior:
+            one.observe(value)
+            many.observe(value)
+        for value in values:
+            one.observe(value)
+        many.observe_many(values)
+        # Count, bitwise sum, min and max (with their types: queue depths
+        # are ints) and every bucket.
+        assert _state(many) == _state(one)
+
+    def test_min_and_max_are_the_first_of_equal_values(self):
+        hist = Histogram("h")
+        hist.observe_many([1, 1.0, 3.0, 3, 2])
+        sample = hist.sample()
+        assert type(sample.min) is int and type(sample.max) is float
+
+    def test_fold_observes_pending_in_order_and_empties_it(self):
+        one, buffered = Histogram("h"), Histogram("h")
+        values = [0.1, 1e16, -1e16, 3.0, 7]
+        for value in values:
+            one.observe(value)
+        pending = buffered.pending
+        pending.extend(values)
+        buffered.fold()
+        assert buffered.pending is pending and pending == []
+        assert _state(buffered) == _state(one)
+
+
+class Tally:
+    """A component keeping its own counts, as the kernel does."""
+
+    def __init__(self, registry):
+        self.count = 0
+        self.counters = DerivedCounters(registry, ("c",), self.counts)
+
+    def counts(self):
+        return (self.count,)
+
+
+class TestFolding:
+    def test_samples_fold_counters_and_buffers(self):
+        reg = MetricsRegistry()
+        tally = Tally(reg)
+        tally.count = 3
+        tally.counters.track()
+        reg.buffer("h").pending.extend([1.0, 2.0])
+        by_key = {s.key: s for s in reg.samples()}
+        assert by_key[("c", ())].value == 3.0
+        assert by_key[("h", ())].count == 2
+        assert reg.buffer("h").pending == []
+        assert not tally.counters.tracked
+
+    def test_counters_add_increases_and_survive_a_rewind(self):
+        reg = MetricsRegistry()
+        tally = Tally(reg)
+        tally.count = 2
+        tally.counters.track()
+        reg.fold()
+        tally.count = 5
+        tally.counters.rewind()
+        tally.count = 1
+        tally.counters.track()
+        assert reg.counter("c").value == 5.0
+        reg.fold()
+        assert reg.counter("c").value == 6.0
+
+    def test_fold_drops_what_it_folded(self):
+        reg = MetricsRegistry()
+        tally = Tally(reg)
+        ref = weakref.ref(tally)
+        tally.counters.track()
+        reg.fold()
+        del tally
+        gc.collect()
+        assert ref() is None
+
+    def test_ingest_folds_pending_first(self):
+        # Folding before merging keeps the sum in arrival order.
+        reg, one = MetricsRegistry(), MetricsRegistry()
+        foreign = MetricsRegistry()
+        foreign.histogram("h").observe(1e16)
+        reg.buffer("h").pending.append(1.0)
+        one.histogram("h").observe(1.0)
+        reg.ingest(foreign.samples())
+        one.ingest(foreign.samples())
+        assert reg.samples() == one.samples()
+
+    def test_kernel_counts_fold_once_each(self):
+        reg = MetricsRegistry()
+        sim = Simulation(seed=1, metrics=reg)
+        for delay in (1.0, 2.0, 3.0):
+            sim.schedule_after(delay, lambda: None)
+        sim.schedule_after(4.0, lambda: None).cancel()
+        sim.run_until(2.0)
+        first = {s.name: s for s in reg.samples()}
+        sim.run_until(10.0)
+        sim.schedule_after(1.0, lambda: None)
+        second = {s.name: s for s in reg.samples()}
+        assert first["sim_scheduler_events_dispatched_total"].value == 2
+        assert second["sim_scheduler_events_scheduled_total"].value == 5
+        assert second["sim_scheduler_events_dispatched_total"].value == 3
+        assert second["sim_scheduler_events_cancelled_total"].value == 1
+        assert second["sim_scheduler_queue_depth"].count == 3
+        # A reset folds the counts before it rewinds them.
+        sim.reset(seed=2)
+        third = {s.name: s for s in reg.samples()}
+        assert third["sim_scheduler_events_scheduled_total"].value == 5
+
+    def test_buffers_fold_at_the_cap(self):
+        reg = MetricsRegistry()
+        sim = Simulation(seed=1, metrics=reg)
+        for _ in range(FOLD_CAP + 5):
+            sim.schedule_after(1.0, lambda: None)
+        delays = reg.buffer("sim_scheduler_event_delay_ms")
+        assert 0 < len(delays.pending) < FOLD_CAP
+        assert delays.count + len(delays.pending) == FOLD_CAP + 5
 
 
 class TestRegistry:

@@ -4,7 +4,6 @@ import pytest
 
 from repro.sim.clock import Clock
 from repro.sim.errors import SchedulingError
-from repro.sim.event import EventHandle
 from repro.sim.scheduler import EventScheduler
 from repro.sim.simulation import Simulation
 
