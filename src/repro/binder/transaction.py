@@ -10,7 +10,7 @@ well as the caller" — so the simulated transaction carries the same fields.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict
+from typing import Any, Dict, Optional
 
 
 @dataclass(frozen=True)
@@ -24,6 +24,17 @@ class BinderTransaction:
     sent_at: float
     delivered_at: float
     payload: Dict[str, Any] = field(default_factory=dict)
+
+    def __init__(self, txn_id: int, sender: str, receiver: str, method: str,
+                 sent_at: float, delivered_at: float,
+                 payload: Optional[Dict[str, Any]] = None) -> None:
+        # The router builds one record per transaction. One update of the
+        # instance dict replaces the frozen dataclass's seven
+        # ``object.__setattr__`` calls; assignment still raises.
+        self.__dict__.update(
+            txn_id=txn_id, sender=sender, receiver=receiver, method=method,
+            sent_at=sent_at, delivered_at=delivered_at,
+            payload={} if payload is None else payload)
 
     @property
     def latency_ms(self) -> float:
